@@ -16,8 +16,6 @@ from .channel import (
     make_scatterers,
     modal_coefficients,
     modal_truncation_order,
-    noise_modal_coefficient,
-    received_order_spectrum,
     synth_field_circle,
     synth_field_modal,
     synth_field_planewave,
@@ -33,9 +31,7 @@ from .dofcore import (
     truncation_order,
 )
 from .specfun import (
-    EvalPrecision,
     bessel_j,
-    bessel_j_small_arg_approx,
     bessel_j_table,
     chebyshev_first_kind,
     chebyshev_second_kind,

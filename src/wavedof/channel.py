@@ -10,7 +10,6 @@ circle is modelled per angular quadrature node.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,14 +29,12 @@ __all__ = [
     "synth_field_planewave",
     "modal_coefficients",
     "synth_field_modal",
-    "noise_modal_coefficient",
-    "received_order_spectrum",
     "synth_field_circle",
 ]
 
 SPEED_OF_LIGHT = 2.998e8
 
-_I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+_I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,6 @@ class ChannelConfig:
             "gamma": self.gamma,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelConfig":
-        return cls(**{k: float(v) for k, v in d.items()})
-
 
 def symmetric_orders(n_max: int) -> np.ndarray:
     """Integer orders -n_max..n_max inclusive."""
@@ -118,15 +111,12 @@ def modal_truncation_order(cfg: ChannelConfig, r: float | None = None) -> int:
     """
     if r is None:
         r = cfg.radius
-    return int(math.ceil(math.e * cfg.k_max * r / 2.0)) + 12
+    return _modal_order(cfg.k_max * r)
 
 
-def _complex_pairs(a: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(a)]
-
-
-def _from_complex_pairs(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _modal_order(kr: float) -> int:
+    """ceil(e * kr / 2) + 12, the modal truncation rule at argument kr."""
+    return int(math.ceil(math.e * kr / 2.0)) + 12
 
 
 @dataclass(frozen=True)
@@ -156,28 +146,6 @@ class ScattererSet:
     @property
     def num_scatterers(self) -> int:
         return self.angles.size
-
-    def to_dict(self) -> dict:
-        return {
-            "angles": [float(a) for a in self.angles],
-            "freq_grid": [float(f) for f in self.freq_grid],
-            "gains": _complex_pairs(self.gains),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScattererSet":
-        return cls(
-            angles=np.array(d["angles"], dtype=float),
-            gains=_from_complex_pairs(d["gains"]),
-            freq_grid=np.array(d["freq_grid"], dtype=float),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "ScattererSet":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -212,28 +180,6 @@ class ModalSpectrum:
         if abs(n) > self.n_max:
             raise ValueError(f"order {n} outside stored range +-{self.n_max}")
         return self.coeffs[n + self.n_max]
-
-    def to_dict(self) -> dict:
-        return {
-            "orders": [int(n) for n in self.orders],
-            "freq_grid": [float(f) for f in self.freq_grid],
-            "coeffs": _complex_pairs(self.coeffs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModalSpectrum":
-        return cls(
-            orders=np.array(d["orders"], dtype=int),
-            coeffs=_from_complex_pairs(d["coeffs"]),
-            freq_grid=np.array(d["freq_grid"], dtype=float),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "ModalSpectrum":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -299,6 +245,15 @@ def _grid_index(freq_grid: np.ndarray, omega: float) -> int:
     return idx
 
 
+def _planewave_sum(angles: np.ndarray, gains: np.ndarray, kr: float, phi) -> np.ndarray:
+    """sum_j g_j exp(i kr cos(phi - phi_j)) over the last axis.
+
+    Leading axes broadcast, so one call covers many positions or many
+    independent scatterer sets.
+    """
+    return np.einsum("...j,...j->...", np.exp(1j * kr * np.cos(phi - angles)), gains)
+
+
 def synth_field_planewave(s: ScattererSet, cfg: ChannelConfig, x: tuple[float, float], omega: float) -> complex:
     """Field at position x = (r, phi) by direct plane-wave superposition.
 
@@ -309,9 +264,7 @@ def synth_field_planewave(s: ScattererSet, cfg: ChannelConfig, x: tuple[float, f
     if r > cfg.radius * (1.0 + 1e-12):
         raise ValueError(f"position radius {r} outside observation disk radius {cfg.radius}")
     idx = _grid_index(s.freq_grid, omega)
-    k = omega / cfg.wave_speed
-    phases = np.exp(1j * k * r * np.cos(phi - s.angles))
-    return complex(np.sum(s.gains[:, idx] * phases))
+    return complex(_planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * r, phi))
 
 
 def modal_coefficients(s: ScattererSet, n_max: int) -> ModalSpectrum:
@@ -340,7 +293,7 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
     idx = _grid_index(ms.freq_grid, omega)
     z = omega * r / cfg.wave_speed
     # at z = 0 only order 0 contributes, so any stored range suffices
-    needed = 0 if z == 0.0 else int(math.ceil(math.e * z / 2.0)) + 12
+    needed = 0 if z == 0.0 else _modal_order(z)
     if ms.n_max < needed:
         warnings.warn(
             f"modal spectrum holds orders up to {ms.n_max} but the truncation rule "
@@ -348,12 +301,10 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
             RuntimeWarning,
             stacklevel=2,
         )
-    j_tab = bessel_j_table(ms.n_max, z)
-    total = 0.0 + 0.0j
-    for n, alpha in zip(ms.orders, ms.coeffs[:, idx]):
-        j_n = j_tab[abs(n)] if (n >= 0 or abs(n) % 2 == 0) else -j_tab[abs(n)]
-        total += _I_POWERS[n % 4] * alpha * j_n * np.exp(1j * n * phi)
-    return complex(total)
+    n = ms.orders
+    # J_{-n} = (-1)^n J_n
+    j_n = np.where((n < 0) & (n % 2 == 1), -1.0, 1.0) * bessel_j_table(ms.n_max, z)[np.abs(n)]
+    return complex(np.sum(_I_POWERS[n % 4] * ms.coeffs[:, idx] * j_n * np.exp(1j * n * phi)))
 
 
 def _circle_nodes(num_samples: int) -> np.ndarray:
@@ -361,63 +312,23 @@ def _circle_nodes(num_samples: int) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(num_samples) + 0.5) / num_samples
 
 
-def _white_circle_noise(cfg: ChannelConfig, rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """White-on-the-circle noise samples for a quadrature with shape[-1] nodes.
+def _node_noise_var(cfg: ChannelConfig, num_nodes: int) -> float:
+    """Per-node variance of white circle noise on num_nodes quadrature cells.
 
     Discretizing a white process of spectral level noise_var on M cells of
-    width 2pi/M gives per-node variance noise_var * M / (2pi).
+    width 2pi/M gives noise_var * M / (2pi); projected onto any order, the
+    circle quadrature turns it back into modal noise of power 2pi*noise_var.
     """
-    m = shape[-1]
-    node_var = cfg.noise_var * m / (2.0 * math.pi)
-    scale = math.sqrt(node_var / 2.0)
+    return cfg.noise_var * num_nodes / (2.0 * math.pi)
+
+
+def _white_circle_noise(cfg: ChannelConfig, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex white-on-the-circle noise for a quadrature with shape[-1] nodes.
+
+    Leading axes of ``shape`` index independent draws, e.g. Monte Carlo trials.
+    """
+    scale = math.sqrt(_node_noise_var(cfg, shape[-1]) / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def noise_modal_coefficient(cfg: ChannelConfig, n_max: int, num_samples: int, seed: int) -> np.ndarray:
-    """Modal noise coefficients nu_n for orders -n_max..n_max.
-
-    nu_n = (2pi/M) sum_m eta(phi_m) e^{-i n phi_m} over midpoint nodes,
-    with eta the discretized white circle noise; E|nu_n|^2 = 2pi*noise_var
-    for every order.  Deterministic per seed.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if num_samples < 2 * n_max + 2:
-        raise ValueError(
-            f"num_samples={num_samples} aliases orders up to {n_max}; need at least {2 * n_max + 2}"
-        )
-    rng = np.random.default_rng(seed)
-    nodes = _circle_nodes(num_samples)
-    eta = _white_circle_noise(cfg, rng, (num_samples,))
-    kernel = np.exp(-1j * np.outer(symmetric_orders(n_max), nodes))
-    return (2.0 * math.pi / num_samples) * (kernel @ eta)
-
-
-def received_order_spectrum(
-    ms: ModalSpectrum,
-    cfg: ChannelConfig,
-    n: int,
-    with_noise: bool = False,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Order-n received signal on the observation circle, per grid frequency.
-
-    alpha_n(omega) J_n(omega R / c), plus an independent modal noise draw
-    per frequency sample when requested (each draw distributed exactly as
-    the circle-quadrature coefficient, CN(0, 2pi*noise_var)).
-    """
-    alpha = ms.order_row(n)
-    z = 2.0 * math.pi * ms.freq_grid * cfg.radius / cfg.wave_speed
-    sign = -1.0 if (n < 0 and abs(n) % 2 == 1) else 1.0
-    j_vals = sign * np.array([bessel_j_table(abs(n), zk)[abs(n)] for zk in z])
-    out = alpha * j_vals
-    if with_noise:
-        if seed is None:
-            raise ValueError("seed is required when with_noise is set")
-        rng = np.random.default_rng(seed)
-        scale = math.sqrt(2.0 * math.pi * cfg.noise_var / 2.0)
-        out = out + scale * (rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size))
-    return out
 
 
 def synth_field_circle(
@@ -430,15 +341,12 @@ def synth_field_circle(
 ) -> FieldSamples:
     """Plane-wave field sampled at uniform nodes on the observation circle.
 
-    Used by the power-balance check; node noise follows the white-process
-    discretization (variance noise_var * M / (2pi) per node).
+    Node noise follows the white-process discretization (variance
+    noise_var * M / (2pi) per node).
     """
     nodes = _circle_nodes(num_nodes)
     idx = _grid_index(s.freq_grid, omega)
-    k = omega / cfg.wave_speed
-    # (M, J) phase matrix against every scatterer
-    phases = np.exp(1j * k * cfg.radius * np.cos(nodes[:, None] - s.angles[None, :]))
-    values = phases @ s.gains[:, idx]
+    values = _planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * cfg.radius, nodes[:, None])
     if with_noise:
         if seed is None:
             raise ValueError("seed is required when with_noise is set")

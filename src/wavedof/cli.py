@@ -28,7 +28,7 @@ from .dofcore import DofReport, total_dof
 from .specfun import bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
 from .verify import TrialPlan, run_campaign
 
-__all__ = ["main", "RunManifest", "load_config_file", "parse_dof_csv"]
+__all__ = ["main", "RunManifest", "load_config_file"]
 
 DEFAULT_CONFIG = {
     "f0": 1.5e9,
@@ -95,11 +95,13 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_config(args) -> ChannelConfig:
+def _config_file_values(args) -> dict:
+    return load_config_file(args.config) if args.config else {}
+
+
+def _resolve_config(args, file_vals: dict) -> ChannelConfig:
     merged = dict(DEFAULT_CONFIG)
-    if args.config:
-        file_vals = load_config_file(args.config)
-        merged.update({k: v for k, v in file_vals.items() if k in DEFAULT_CONFIG})
+    merged.update({k: v for k, v in file_vals.items() if k in DEFAULT_CONFIG})
     for key in DEFAULT_CONFIG:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -110,11 +112,9 @@ def _resolve_config(args) -> ChannelConfig:
         raise CliError(str(exc)) from exc
 
 
-def _resolve_plan(args) -> TrialPlan:
-    merged = {"num_trials": 2000, "circle_samples": 64, "n_probe": 16, "freq_samples": 257}
-    if args.config:
-        file_vals = load_config_file(args.config)
-        merged.update({k: int(v) for k, v in file_vals.items() if k in _PLAN_KEYS})
+def _resolve_plan(args, file_vals: dict) -> TrialPlan:
+    # keys left unset take the TrialPlan defaults
+    merged = {k: int(v) for k, v in file_vals.items() if k in _PLAN_KEYS}
     for key in _PLAN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -162,31 +162,8 @@ def _csv_comments(manifest: RunManifest, resolved: dict) -> list[str]:
     ]
 
 
-def parse_dof_csv(text: str) -> tuple[list[str], list[tuple[int, float, float, float]]]:
-    """Split an emitted per-order CSV into comment lines and typed rows.
-
-    Re-serializing with the emitter's formatting reproduces the input
-    bytes; the row format %.9g is idempotent under parse/format cycles.
-    """
-    comments, rows = [], []
-    for line in text.strip().split("\n"):
-        if line.startswith("#"):
-            comments.append(line)
-        elif line and line != "n,f_crit_hz,w_eff_hz,dof":
-            n, f_crit, w_eff, dof = line.split(",")
-            rows.append((int(n), float(f_crit), float(w_eff), float(dof)))
-    return comments, rows
-
-
-def serialize_dof_csv(comments: list[str], rows: list[tuple[int, float, float, float]]) -> str:
-    lines = list(comments) + ["n,f_crit_hz,w_eff_hz,dof"]
-    for n, f_crit, w_eff, dof in rows:
-        lines.append(f"{n:d},{f_crit:.9g},{w_eff:.9g},{dof:.9g}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_analyze(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, _config_file_values(args))
     manifest = _manifest(args, "analyze")
     try:
         report = total_dof(cfg)
@@ -201,8 +178,7 @@ def cmd_analyze(args) -> int:
     )
     csv_path = out / "dof_report.csv"
     comments = _csv_comments(manifest, cfg.to_dict())
-    _, rows = parse_dof_csv(report.to_csv())
-    csv_path.write_text(serialize_dof_csv(comments, rows))
+    csv_path.write_text("\n".join(comments) + "\n" + report.to_csv())
 
     print(
         f"n_upper={report.n_upper} t_eff={report.t_eff:.9g} s total_dof={report.total:.9g}"
@@ -215,7 +191,7 @@ def cmd_sweep(args) -> int:
     values = args.values
     if len(values) < 1 or any(b <= a for a, b in zip(values, values[1:])):
         raise CliError("sweep values must be strictly increasing")
-    base = _resolve_config(args).to_dict()
+    base = _resolve_config(args, _config_file_values(args)).to_dict()
     rows = []
     # validate and evaluate every point before any output is written
     for v in values:
@@ -253,8 +229,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    plan = _resolve_plan(args)
+    file_vals = _config_file_values(args)
+    cfg = _resolve_config(args, file_vals)
+    plan = _resolve_plan(args, file_vals)
     manifest = _manifest(args, "simulate")
     try:
         report = run_campaign(cfg, plan)

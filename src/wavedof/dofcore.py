@@ -10,7 +10,6 @@ gives the total spatial-temporal degree-of-freedom count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,13 +88,12 @@ def critical_frequency(cfg: ChannelConfig, n: int) -> float:
     return max(0.0, scale * (n + 0.5 * log_ratio))
 
 
-def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float, tight: bool = False) -> SnrBound:
+def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
     """Ceiling on the order-n SNR at a given frequency.
 
     snr_max * exp(-(2n - 2 pi e f R / c)), from the small-argument
     Bessel envelope; meaningful in the evanescent regime
-    2 pi f R / c < n.  ``tight`` divides out the slack factor
-    2 pi n (2n + 1) kept by the loose exponential form (n >= 1 only).
+    2 pi f R / c < n.
     """
     n = abs(int(n))
     if freq < 0.0:
@@ -104,10 +102,6 @@ def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float, tight: bool = False
     if s == 0.0:
         return SnrBound(-math.inf, 0.0)
     log_val = math.log(s) - 2.0 * n + 2.0 * math.pi * math.e * freq * cfg.radius / cfg.wave_speed
-    if tight:
-        if n < 1:
-            raise ValueError("tight bound requires n >= 1")
-        log_val -= math.log(2.0 * math.pi * n * (2.0 * n + 1.0))
     value = math.exp(log_val) if log_val < 709.0 else math.inf
     return SnrBound(log_val, value)
 
@@ -183,26 +177,6 @@ class DofReport:
             "per_order": [r._asdict() for r in self.per_order],
             "total": self.total,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DofReport":
-        return cls(
-            config=ChannelConfig.from_dict(d["config"]),
-            t_eff=float(d["t_eff"]),
-            n_upper=int(d["n_upper"]),
-            per_order=tuple(
-                OrderBudget(int(r["n"]), float(r["f_crit"]), float(r["w_eff"]), float(r["dof"]))
-                for r in d["per_order"]
-            ),
-            total=float(d["total"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "DofReport":
-        return cls.from_dict(json.loads(s))
 
     def to_csv(self) -> str:
         """Per-order table; column order n, f_crit_hz, w_eff_hz, dof."""

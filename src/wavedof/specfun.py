@@ -11,17 +11,14 @@ naive forward recurrence would explode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "EvalPrecision",
     "StirlingBound",
     "bessel_j",
     "bessel_j_table",
-    "bessel_j_small_arg_approx",
     "chebyshev_first_kind",
     "chebyshev_second_kind",
     "stirling_gamma_lower",
@@ -33,22 +30,10 @@ _MAX_ORDER = 10_000
 # is also used whenever z <= n/2, where its terms decay from the start).
 _SERIES_Z_CUTOFF = 12.0
 
-
-@dataclass(frozen=True)
-class EvalPrecision:
-    """Series evaluation control: relative tolerance and term cap."""
-
-    rel_tol: float = 1e-10
-    max_terms: int = 1600
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise ValueError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-        if self.max_terms < 50:
-            raise ValueError(f"max_terms must be >= 50, got {self.max_terms}")
-
-
-_DEFAULT_PRECISION = EvalPrecision()
+# Series stops once a term falls below _SERIES_REL_TOL * 1e-4 of the
+# largest term, and gives up after _SERIES_MAX_TERMS terms.
+_SERIES_REL_TOL = 1e-10
+_SERIES_MAX_TERMS = 1600
 
 
 class StirlingBound(NamedTuple):
@@ -69,7 +54,7 @@ def _check_order_arg(n, z) -> None:
         raise ValueError(f"argument must be finite, got {z}")
 
 
-def _series_j(n: int, z: float, precision: EvalPrecision) -> float:
+def _series_j(n: int, z: float) -> float:
     """Ascending power series J_n(z) = (z/2)^n/n! * sum_m (-q)^m / (m! (n+1)_m)."""
     if z == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -85,13 +70,13 @@ def _series_j(n: int, z: float, precision: EvalPrecision) -> float:
     term = 1.0
     terms = [term]
     peak = 1.0
-    for m in range(1, precision.max_terms + 1):
+    for m in range(1, _SERIES_MAX_TERMS + 1):
         term = term * q / (m * (n + m))
         terms.append(term)
         peak = max(peak, abs(term))
-        if abs(term) <= precision.rel_tol * 1e-4 * peak and m * (n + m) > -q:
+        if abs(term) <= _SERIES_REL_TOL * 1e-4 * peak and m * (n + m) > -q:
             return pref * math.fsum(terms)
-    raise ValueError(f"Bessel series did not converge within {precision.max_terms} terms for n={n}, z={z}")
+    raise ValueError(f"Bessel series did not converge within {_SERIES_MAX_TERMS} terms for n={n}, z={z}")
 
 
 def _miller_table(n_max: int, z: float) -> np.ndarray:
@@ -121,7 +106,7 @@ def _miller_table(n_max: int, z: float) -> np.ndarray:
     return out / norm
 
 
-def bessel_j(n: int, z: float, precision: EvalPrecision | None = None) -> float:
+def bessel_j(n: int, z: float) -> float:
     """Bessel function of the first kind J_n(z) for integer n >= 0, z >= 0.
 
     Evaluation strategy: ascending series for z <= max(12, n/2), Miller
@@ -130,16 +115,14 @@ def bessel_j(n: int, z: float, precision: EvalPrecision | None = None) -> float:
     n = int(n)
     z = float(z)
     _check_order_arg(n, z)
-    if precision is None:
-        precision = _DEFAULT_PRECISION
     if z == 0.0:
         return 1.0 if n == 0 else 0.0
     if z <= max(_SERIES_Z_CUTOFF, 0.5 * n):
-        return _series_j(n, z, precision)
+        return _series_j(n, z)
     return float(_miller_table(n, z)[n])
 
 
-def bessel_j_table(n_max: int, z: float, precision: EvalPrecision | None = None) -> np.ndarray:
+def bessel_j_table(n_max: int, z: float) -> np.ndarray:
     """All of J_0(z)..J_{n_max}(z) in one pass.
 
     Main entry point for modal synthesis, where every order up to the
@@ -148,35 +131,13 @@ def bessel_j_table(n_max: int, z: float, precision: EvalPrecision | None = None)
     n_max = int(n_max)
     z = float(z)
     _check_order_arg(n_max, z)
-    if precision is None:
-        precision = _DEFAULT_PRECISION
     if z == 0.0:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
     if z > _SERIES_Z_CUTOFF:
         return _miller_table(n_max, z)
-    return np.array([_series_j(n, z, precision) for n in range(n_max + 1)])
-
-
-def bessel_j_small_arg_approx(n: int, z: float) -> float:
-    """Small-argument approximant (z/2)^n / Gamma(n+1).
-
-    Upper envelope of |J_n| in the pre-turn-on region; evaluated in the log
-    domain so large orders do not overflow intermediate products.
-    """
-    n = int(n)
-    z = float(z)
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    if z < 0.0:
-        raise ValueError(f"argument must be >= 0, got {z}")
-    if z == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_val = n * math.log(0.5 * z) - math.lgamma(n + 1)
-    if log_val > 709.0:
-        raise OverflowError(f"(z/2)^n / n! overflows float range for n={n}, z={z}")
-    return math.exp(log_val)
+    return np.array([_series_j(n, z) for n in range(n_max + 1)])
 
 
 def _check_cheb_arg(n, z) -> None:

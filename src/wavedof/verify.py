@@ -11,6 +11,7 @@ verdict; fixed seeds make a full campaign bit-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -19,8 +20,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel import ChannelConfig, symmetric_orders
-from .dofcore import critical_frequency, snr_max, snr_upper_bound, truncation_order
+from .channel import (
+    ChannelConfig,
+    _circle_nodes,
+    _modal_order,
+    _node_noise_var,
+    _planewave_sum,
+    _white_circle_noise,
+    symmetric_orders,
+)
+from .dofcore import critical_frequency, truncation_order
 from .specfun import bessel_j_table
 
 __all__ = [
@@ -84,10 +93,6 @@ class TrialPlan:
             "freq_samples": self.freq_samples,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialPlan":
-        return cls(**{k: int(v) for k, v in d.items()})
-
 
 class SnrEstimate(NamedTuple):
     """Empirical per-order SNR over [grid start, f_edge]."""
@@ -128,15 +133,14 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    nodes = 2.0 * math.pi * (np.arange(num_samples) + 0.5) / num_samples
-    quad = (2.0 * math.pi / num_samples) * np.sum(np.exp(1j * (n - m) * nodes))
+    quad = (2.0 * math.pi / num_samples) * np.sum(np.exp(1j * (n - m) * _circle_nodes(num_samples)))
     expected = 2.0 * math.pi if n == m else 0.0
     return float(abs(quad - expected))
 
 
-def _bessel_row(n: int, freqs: np.ndarray, radius: float, wave_speed: float) -> np.ndarray:
+def _bessel_row(n: int, z: np.ndarray) -> np.ndarray:
+    """J_|n| at every argument in z."""
     n = abs(int(n))
-    z = 2.0 * math.pi * freqs * radius / wave_speed
     return np.array([bessel_j_table(n, zk)[n] for zk in z])
 
 
@@ -168,7 +172,7 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     if grid.size < 2:
         raise ValueError(f"fewer than 2 grid points below f_edge={f_edge}; densify the plan")
     omega = 2.0 * math.pi * grid
-    j_row = _bessel_row(n, grid, cfg.radius, cfg.wave_speed)
+    j_row = _bessel_row(n, 2.0 * math.pi * grid * cfg.radius / cfg.wave_speed)
 
     # alpha_n of the discrete-scatterer ensemble is exactly CN(0, p_max)
     # independently per frequency, so the coefficient is drawn from that
@@ -206,12 +210,8 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
 
     rng = np.random.default_rng(plan.seed)
     m = plan.circle_samples
-    node_scale = math.sqrt(cfg.noise_var * m / (2.0 * math.pi) / 2.0)
-    eta = node_scale * (
-        rng.standard_normal((plan.num_trials, m)) + 1j * rng.standard_normal((plan.num_trials, m))
-    )
-    nodes = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-    kernel = np.exp(-1j * np.outer(orders, nodes))
+    eta = _white_circle_noise(cfg, rng, (plan.num_trials, m))
+    kernel = np.exp(-1j * np.outer(orders, _circle_nodes(m)))
     nu = (2.0 * math.pi / m) * (eta @ kernel.T)        # (trials, orders)
 
     sq = np.abs(nu) ** 2
@@ -289,11 +289,10 @@ def power_balance_check(
     z = omega * cfg.radius / cfg.wave_speed
     if z < 0.0:
         raise ValueError(f"omega and radius must be nonnegative, got kr={z}")
-    n_max = int(math.ceil(math.e * z / 2.0)) + 12
-    j_tab = bessel_j_table(n_max, z)
+    j_tab = bessel_j_table(_modal_order(z), z)
     modal_sum = cfg.p_max * (j_tab[0] ** 2 + 2.0 * np.sum(j_tab[1:] ** 2))
     m = plan.circle_samples
-    noise_term = cfg.noise_var * m / (2.0 * math.pi)
+    noise_term = _node_noise_var(cfg, m)
     reference = modal_sum + noise_term
 
     if exact:
@@ -303,21 +302,16 @@ def power_balance_check(
 
     plan.require_statistical()
     rng = np.random.default_rng(plan.seed)
-    nodes = 2.0 * math.pi * (np.arange(m) + 0.5) / m
     t = plan.num_trials
     angles = rng.uniform(0.0, 2.0 * math.pi, (t, num_scatterers))
     g_scale = math.sqrt(cfg.p_max / (2.0 * num_scatterers))
     gains = g_scale * (
         rng.standard_normal((t, num_scatterers)) + 1j * rng.standard_normal((t, num_scatterers))
     )
-    # (t, m) field samples: sum_j g_j exp(i k R cos(phi_m - phi_j))
-    phase = np.exp(1j * z * np.cos(nodes[None, :, None] - angles[:, None, :]))
-    values = np.einsum("tmj,tj->tm", phase, gains)
+    # (t, m) field samples on the circle, one scatterer set per trial
+    values = _planewave_sum(angles[:, None, :], gains[:, None, :], z, _circle_nodes(m)[None, :, None])
     if cfg.noise_var > 0.0:
-        node_scale = math.sqrt(cfg.noise_var * m / (2.0 * math.pi) / 2.0)
-        values = values + node_scale * (
-            rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
-        )
+        values = values + _white_circle_noise(cfg, rng, (t, m))
     per_trial = np.mean(np.abs(values) ** 2, axis=1)
     est = float(per_trial.mean())
     se = float(per_trial.std() / math.sqrt(t))
@@ -389,8 +383,7 @@ def time_support_check(
     omega_max = grid.kr_max * c / radius
     omega = np.linspace(0.0, omega_max, grid.freq_samples)
     window = 0.5 * (1.0 - np.cos(2.0 * math.pi * omega / omega_max))
-    j_vals = np.array([bessel_j_table(abs(n), w * radius / c)[abs(n)] for w in omega])
-    spectrum = window * j_vals
+    spectrum = window * _bessel_row(n, omega * radius / c)
 
     t_edge_nominal = radius / c
     times = np.linspace(0.0, grid.pad * t_edge_nominal, grid.time_samples)
@@ -427,11 +420,7 @@ def dof_prediction_check(cfg: ChannelConfig, plan: TrialPlan) -> list[CheckResul
     probe_top = min(n_up - 1, plan.n_probe)
     for i, n in enumerate(range(1, probe_top + 1)):
         f_crit = critical_frequency(cfg, n)
-        sub_seed = plan.seed + 7919 * (i + 1)
-        sub = TrialPlan(
-            num_trials=plan.num_trials, circle_samples=plan.circle_samples,
-            seed=sub_seed, n_probe=plan.n_probe, freq_samples=plan.freq_samples,
-        )
+        sub = dataclasses.replace(plan, seed=plan.seed + 7919 * (i + 1))
         if f_crit > 0.0:
             est = empirical_order_snr(sub, cfg, n, 0.8 * f_crit)
             ok = est.snr_hat + 3.0 * est.stderr < gamma
@@ -451,10 +440,7 @@ def dof_prediction_check(cfg: ChannelConfig, plan: TrialPlan) -> list[CheckResul
                 )
             )
     if math.isfinite(critical_frequency(cfg, n_up)):
-        sub = TrialPlan(
-            num_trials=plan.num_trials, circle_samples=plan.circle_samples,
-            seed=plan.seed + 104729, n_probe=plan.n_probe, freq_samples=plan.freq_samples,
-        )
+        sub = dataclasses.replace(plan, seed=plan.seed + 104729)
         est = empirical_order_snr(sub, cfg, n_up, cfg.band_high)
         ok = est.snr_hat + 3.0 * est.stderr < gamma
         results.append(

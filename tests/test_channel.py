@@ -1,27 +1,32 @@
 """Field model tests: config validation, scatterer statistics, synthesis
-equivalence, modal noise, serialization round trips."""
+equivalence, modal noise, input validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavedof.channel import (
     ChannelConfig,
     FieldSamples,
     ModalSpectrum,
     ScattererSet,
+    _circle_nodes,
+    _planewave_sum,
+    _white_circle_noise,
     make_scatterers,
     modal_coefficients,
     modal_truncation_order,
-    noise_modal_coefficient,
-    received_order_spectrum,
     symmetric_orders,
     synth_field_circle,
     synth_field_modal,
     synth_field_planewave,
 )
-from wavedof.specfun import bessel_j
+from wavedof.specfun import bessel_j, bessel_j_table
+from wavedof.verify import TrialPlan
 
 SEED = 4151
 
@@ -67,8 +72,9 @@ class TestChannelConfig:
         base_cfg(obs_time=0.0)
 
     def test_dict_round_trip(self):
+        # the sweep rebuilds each point's config from to_dict()
         cfg = base_cfg(gamma=2.5, p_max=3.0)
-        assert ChannelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ChannelConfig(**cfg.to_dict()) == cfg
 
 
 class TestMakeScatterers:
@@ -220,29 +226,41 @@ class TestFieldSynthesis:
         assert modal_truncation_order(base_cfg(radius=0.2)) > modal_truncation_order(cfg)
 
 
+def modal_noise(cfg, n_max, num_samples, num_draws, seed):
+    """Circle-quadrature projection of the node noise onto orders -n_max..n_max.
+
+    nu_n = (2pi/M) sum_m eta(phi_m) e^{-i n phi_m}, one row per draw, as the
+    campaign's noise check computes it.
+    """
+    eta = _white_circle_noise(cfg, np.random.default_rng(seed), (num_draws, num_samples))
+    kernel = np.exp(-1j * np.outer(symmetric_orders(n_max), _circle_nodes(num_samples)))
+    return (2.0 * math.pi / num_samples) * (eta @ kernel.T)
+
+
 class TestModalNoise:
     def test_zero_noise_var(self):
         cfg = base_cfg(noise_var=0.0)
-        nu = noise_modal_coefficient(cfg, 4, 32, seed=SEED)
-        assert np.array_equal(nu, np.zeros(9, dtype=complex))
+        nu = modal_noise(cfg, 4, 32, 3, seed=SEED)
+        assert np.array_equal(nu, np.zeros((3, 9), dtype=complex))
 
     def test_deterministic(self):
         cfg = base_cfg()
-        a = noise_modal_coefficient(cfg, 4, 32, seed=SEED)
-        b = noise_modal_coefficient(cfg, 4, 32, seed=SEED)
+        a = modal_noise(cfg, 4, 32, 3, seed=SEED)
+        b = modal_noise(cfg, 4, 32, 3, seed=SEED)
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, modal_noise(cfg, 4, 32, 3, seed=SEED + 1))
 
     def test_aliasing_guard(self):
-        cfg = base_cfg()
+        # M nodes resolve orders |n| <= n_probe only while M >= 2 n_probe + 2
         with pytest.raises(ValueError, match="alias"):
-            noise_modal_coefficient(cfg, 16, 32, seed=SEED)
-        noise_modal_coefficient(cfg, 15, 32, seed=SEED)
+            TrialPlan(circle_samples=32, n_probe=16)
+        TrialPlan(circle_samples=32, n_probe=15)
 
     def test_second_moment(self):
         # E|nu_n|^2 = 2 pi noise_var independent of order
         cfg = base_cfg(noise_var=0.7)
         target = 2 * math.pi * 0.7
-        draws = np.array([noise_modal_coefficient(cfg, 3, 16, seed=SEED + k) for k in range(2500)])
+        draws = modal_noise(cfg, 3, 16, 2500, seed=SEED)
         for col in range(7):
             est = np.mean(np.abs(draws[:, col]) ** 2)
             se = np.std(np.abs(draws[:, col]) ** 2) / math.sqrt(2500)
@@ -253,32 +271,56 @@ class TestModalNoise:
         assert np.array_equal(symmetric_orders(0), [0])
 
 
+def received_order(s, cfg, n, omega, num_nodes=64, **noise):
+    """Order-n received signal at omega: the circle quadrature
+    (1/M) sum_m y(phi_m) e^{-i n phi_m} of the field synthesized on the circle."""
+    fs = synth_field_circle(s, cfg, num_nodes, omega, **noise)
+    return complex(np.mean(fs.values[:, 0] * np.exp(-1j * n * _circle_nodes(num_nodes))))
+
+
 class TestReceivedSpectrum:
     def test_noiseless_is_alpha_times_bessel(self):
+        # a spectrum holding one order n synthesizes i^n alpha_n J_n(kR) e^{i n phi},
+        # with J_{-n} = (-1)^n J_n
         cfg = base_cfg()
         s = make_scatterers(cfg, 10, 4, seed=SEED)
         ms = modal_coefficients(s, 3)
+        phi = 0.4
         for n in (-3, 0, 2):
-            got = received_order_spectrum(ms, cfg, n)
-            sign = -1.0 if (n < 0 and n % 2) else 1.0
-            jn = np.array(
-                [sign * bessel_j(abs(n), 2 * math.pi * f * cfg.radius / cfg.wave_speed) for f in s.freq_grid]
-            )
-            assert np.allclose(got, ms.order_row(n) * jn, rtol=1e-12)
+            coeffs = np.zeros_like(ms.coeffs)
+            coeffs[n + 3] = ms.order_row(n)
+            one = ModalSpectrum(orders=ms.orders, coeffs=coeffs, freq_grid=ms.freq_grid)
+            for k, f in enumerate(s.freq_grid):
+                omega = 2 * math.pi * f
+                jn = (-1) ** abs(n) if n < 0 else 1
+                jn *= bessel_j(abs(n), omega * cfg.radius / cfg.wave_speed)
+                want = 1j**n * ms.order_row(n)[k] * jn * np.exp(1j * n * phi)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = synth_field_modal(one, cfg, (cfg.radius, phi), omega)
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_noise_requires_seed(self):
         cfg = base_cfg()
-        ms = modal_coefficients(make_scatterers(cfg, 5, 3, seed=SEED), 2)
+        s = make_scatterers(cfg, 5, 3, seed=SEED)
+        omega = 2 * math.pi * float(s.freq_grid[0])
         with pytest.raises(ValueError, match="seed"):
-            received_order_spectrum(ms, cfg, 0, with_noise=True)
+            received_order(s, cfg, 0, omega, with_noise=True)
 
     def test_noise_deterministic(self):
         cfg = base_cfg()
-        ms = modal_coefficients(make_scatterers(cfg, 5, 3, seed=SEED), 2)
-        a = received_order_spectrum(ms, cfg, 1, with_noise=True, seed=11)
-        b = received_order_spectrum(ms, cfg, 1, with_noise=True, seed=11)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, received_order_spectrum(ms, cfg, 1))
+        s = make_scatterers(cfg, 5, 3, seed=SEED)
+        ms = modal_coefficients(s, 2)
+        omega = 2 * math.pi * float(s.freq_grid[1])
+        clean = received_order(s, cfg, 1, omega)
+        # noiseless, the order-1 projection is i alpha_1 J_1(kR)
+        want = 1j * ms.order_row(1)[1] * bessel_j(1, omega * cfg.radius / cfg.wave_speed)
+        assert clean == pytest.approx(want, rel=1e-10)
+        a = received_order(s, cfg, 1, omega, with_noise=True, seed=11)
+        b = received_order(s, cfg, 1, omega, with_noise=True, seed=11)
+        assert a == b
+        assert a != clean
+        assert a != received_order(s, cfg, 1, omega, with_noise=True, seed=12)
 
 
 class TestFieldCircle:
@@ -305,19 +347,6 @@ class TestFieldCircle:
 
 
 class TestSerialization:
-    def test_scatterer_round_trip(self):
-        s = make_scatterers(base_cfg(), 7, 3, seed=SEED)
-        s2 = ScattererSet.from_json(s.to_json())
-        assert np.array_equal(s.angles, s2.angles)
-        assert np.array_equal(s.gains, s2.gains)
-        assert np.array_equal(s.freq_grid, s2.freq_grid)
-
-    def test_modal_round_trip(self):
-        ms = modal_coefficients(make_scatterers(base_cfg(), 7, 3, seed=SEED), 4)
-        ms2 = ModalSpectrum.from_json(ms.to_json())
-        assert np.array_equal(ms.orders, ms2.orders)
-        assert np.array_equal(ms.coeffs, ms2.coeffs)
-
     def test_scatterer_validation(self):
         with pytest.raises(ValueError):
             ScattererSet(angles=np.array([]), gains=np.zeros((0, 2)), freq_grid=np.array([1.0, 2.0]))
@@ -353,3 +382,72 @@ class TestSerialization:
                 freq_grid=np.array([1.0, 2.0]),
                 values=np.zeros((3, 1), dtype=complex),
             )
+
+
+I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+
+
+def loop_modal_field(ms, cfg, x, omega):
+    """Per-order loop form of the modal sum, the oracle for synth_field_modal."""
+    r, phi = x
+    idx = int(np.argmin(np.abs(ms.freq_grid - omega / (2.0 * math.pi))))
+    j_tab = bessel_j_table(ms.n_max, omega * r / cfg.wave_speed)
+    total = 0.0 + 0.0j
+    for n, alpha in zip(ms.orders, ms.coeffs[:, idx]):
+        j_n = j_tab[abs(n)] if (n >= 0 or abs(n) % 2 == 0) else -j_tab[abs(n)]
+        total += I_POWERS[n % 4] * alpha * j_n * np.exp(1j * n * phi)
+    return complex(total)
+
+
+class TestSynthesisProperties:
+    # wave_speed 2 pi puts omega = 2 pi at kr = r, so r sweeps the Bessel
+    # argument across the series / recurrence split at 12
+    CFG = ChannelConfig(f0=2.0, half_bw=1.0, radius=30.0, obs_time=0.0, wave_speed=2.0 * math.pi)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(0, 60),
+        z=st.one_of(st.floats(0.0, 12.0), st.floats(12.0, 30.0)),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_modal_field_matches_per_order_loop(self, n_max, z, phi, seed):
+        rng = np.random.default_rng(seed)
+        size = (2 * n_max + 1, 2)
+        ms = ModalSpectrum(
+            orders=symmetric_orders(n_max),
+            coeffs=rng.standard_normal(size) + 1j * rng.standard_normal(size),
+            freq_grid=np.array([1.0, 2.0]),
+        )
+        omega = 2.0 * math.pi
+        with warnings.catch_warnings():
+            # short spectra are allowed here; both forms sum the same orders
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = synth_field_modal(ms, self.CFG, (z, phi), omega)
+        want = loop_modal_field(ms, self.CFG, (z, phi), omega)
+        assert abs(got - want) <= 1e-12 * max(1.0, float(np.sum(np.abs(ms.coeffs[:, 0]))))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        trials=st.integers(1, 5),
+        num_scatterers=st.integers(1, 24),
+        num_nodes=st.integers(1, 64),
+        radius=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_planewave_rows_match_circle_synthesis(self, trials, num_scatterers, num_nodes, radius, seed):
+        # the power-balance check synthesizes every trial in one batched call
+        cfg = base_cfg(radius=radius)
+        rng = np.random.default_rng(seed)
+        shape = (trials, num_scatterers)
+        angles = rng.uniform(0.0, 2.0 * math.pi, shape)
+        gains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid = np.array([cfg.band_low, cfg.band_high])
+        omega = 2.0 * math.pi * grid[1]
+        kr = omega / cfg.wave_speed * cfg.radius
+        batched = _planewave_sum(angles[:, None, :], gains[:, None, :], kr, _circle_nodes(num_nodes)[None, :, None])
+        assert batched.shape == (trials, num_nodes)
+        for t in range(trials):
+            s = ScattererSet(angles=angles[t], gains=np.column_stack([gains[t], gains[t]]), freq_grid=grid)
+            row = synth_field_circle(s, cfg, num_nodes, omega).values[:, 0]
+            assert np.max(np.abs(batched[t] - row)) <= 1e-12 * float(np.sum(np.abs(gains[t])))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavedof import __version__
-from wavedof.cli import load_config_file, main, parse_dof_csv, serialize_dof_csv
+from wavedof.cli import load_config_file, main
 
 WORKED = [
     "--f0", "2.4e9", "--half-bw", "0.5e9", "--radius", "0.1",
@@ -49,8 +49,16 @@ class TestAnalyze:
     def test_csv_parse_reserialize_identical(self, tmp_path):
         main(["analyze", *WORKED, "--out", str(tmp_path)])
         text = (tmp_path / "dof_report.csv").read_text()
-        comments, rows = parse_dof_csv(text)
-        assert serialize_dof_csv(comments, rows) == text
+        lines = text.strip().split("\n")
+        comments = [line for line in lines if line.startswith("#")]
+        header, *body = [line for line in lines if not line.startswith("#")]
+        assert header == "n,f_crit_hz,w_eff_hz,dof"
+        rows = []
+        for line in body:
+            n, f_crit, w_eff, dof = line.split(",")
+            rows.append((int(n), float(f_crit), float(w_eff), float(dof)))
+        reserialized = comments + [header] + [f"{n:d},{f:.9g},{w:.9g},{d:.9g}" for n, f, w, d in rows]
+        assert "\n".join(reserialized) + "\n" == text
         assert len(rows) == 17  # orders -8..8
 
     def test_rerun_byte_identical(self, tmp_path):

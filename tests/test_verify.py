@@ -58,8 +58,9 @@ class TestTrialPlan:
         plan().require_statistical()
 
     def test_dict_round_trip(self):
+        # the campaign artifact records the plan through to_dict()
         p = plan()
-        assert TrialPlan.from_dict(p.to_dict()) == p
+        assert TrialPlan(**p.to_dict()) == p
 
 
 class TestOrthogonality:
