@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,6 +57,9 @@ class ChannelConfig:
     gamma: float = 1.0              # detection SNR threshold
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.f0 > self.half_bw > 0.0:
             raise ValueError(f"band must satisfy f0 > half_bw > 0, got f0={self.f0}, half_bw={self.half_bw}")
         if self.radius < 0.0:
@@ -86,16 +89,7 @@ class ChannelConfig:
         return 2.0 * math.pi * self.band_high / self.wave_speed
 
     def to_dict(self) -> dict:
-        return {
-            "f0": self.f0,
-            "half_bw": self.half_bw,
-            "radius": self.radius,
-            "obs_time": self.obs_time,
-            "wave_speed": self.wave_speed,
-            "noise_var": self.noise_var,
-            "p_max": self.p_max,
-            "gamma": self.gamma,
-        }
+        return asdict(self)
 
 
 def symmetric_orders(n_max: int) -> np.ndarray:
@@ -230,10 +224,18 @@ def make_scatterers(
         raise ValueError(f"frequency span must satisfy hi > lo >= 0, got ({lo}, {hi})")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, num_scatterers)
-    scale = math.sqrt(cfg.p_max / (2.0 * num_scatterers))
-    shape = (num_scatterers, num_freqs)
-    gains = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (num_scatterers, num_freqs))
     return ScattererSet(angles=angles, gains=gains, freq_grid=np.linspace(lo, hi, num_freqs))
+
+
+def _gain_scale(cfg: ChannelConfig, num_scatterers: int) -> float:
+    """Per-part gain scale sqrt(p_max / (2J)): J gains of variance p_max / J sum to p_max."""
+    return math.sqrt(cfg.p_max / (2.0 * num_scatterers))
+
+
+def _complex_normal(rng: np.random.Generator, scale: float, shape: tuple) -> np.ndarray:
+    """scale * (x + iy), x and y standard normal; all real parts are drawn first."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _grid_index(freq_grid: np.ndarray, omega: float) -> int:
@@ -327,8 +329,7 @@ def _white_circle_noise(cfg: ChannelConfig, rng: np.random.Generator, shape: tup
 
     Leading axes of ``shape`` index independent draws, e.g. Monte Carlo trials.
     """
-    scale = math.sqrt(_node_noise_var(cfg, shape[-1]) / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return _complex_normal(rng, math.sqrt(_node_noise_var(cfg, shape[-1]) / 2.0), shape)
 
 
 def synth_field_circle(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,12 +42,13 @@ DEFAULT_CONFIG = {
 }
 
 _PLAN_KEYS = ("num_trials", "circle_samples", "n_probe", "freq_samples")
+_INT_KEYS = ("seed", *_PLAN_KEYS)
 
 SWEEP_AXES = ("radius", "half_bw", "gamma", "obs_time")
 
 
 class CliError(Exception):
-    """Invalid input; maps to exit code 2."""
+    """Invalid input; maps to exit code 2, as a ValueError does."""
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,15 @@ class RunManifest:
     config_source: str
     out_dir: str
     seed: int
-    fmt: str
+    format: str
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_source": self.config_source,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "format": self.fmt,
-        }
+        return asdict(self)
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key-value config: one ``key = value`` per line, # comments."""
-    known = set(DEFAULT_CONFIG) | set(_PLAN_KEYS) | {"seed"}
+    """Flat key-value config: one ``key = value`` per line, # comments; integer keys as int."""
+    known = set(DEFAULT_CONFIG) | set(_INT_KEYS)
     out: dict = {}
     try:
         text = Path(path).read_text()
@@ -92,39 +87,29 @@ def load_config_file(path: str) -> dict:
             out[key] = float(val.strip())
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
+        if key in _INT_KEYS:
+            if not out[key].is_integer():
+                raise CliError(f"{path}:{lineno}: {key} must be a whole number, got {val.strip()!r}")
+            out[key] = int(out[key])
     return out
 
 
-def _config_file_values(args) -> dict:
-    return load_config_file(args.config) if args.config else {}
+def _given(args, file_vals: dict, keys) -> dict:
+    """The keys set in the config file or by flag; a flag wins over the file."""
+    given = {k: file_vals[k] for k in keys if k in file_vals}
+    given.update({k: getattr(args, k) for k in keys if getattr(args, k, None) is not None})
+    return given
 
 
 def _resolve_config(args, file_vals: dict) -> ChannelConfig:
-    merged = dict(DEFAULT_CONFIG)
-    merged.update({k: v for k, v in file_vals.items() if k in DEFAULT_CONFIG})
-    for key in DEFAULT_CONFIG:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    try:
-        return ChannelConfig(**merged)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ChannelConfig(**{**DEFAULT_CONFIG, **_given(args, file_vals, DEFAULT_CONFIG)})
 
 
 def _resolve_plan(args, file_vals: dict) -> TrialPlan:
     # keys left unset take the TrialPlan defaults
-    merged = {k: int(v) for k, v in file_vals.items() if k in _PLAN_KEYS}
-    for key in _PLAN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    try:
-        plan = TrialPlan(seed=args.seed, **merged)
-        plan.require_statistical()
-        return plan
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    plan = TrialPlan(seed=args.seed, **_given(args, file_vals, _PLAN_KEYS))
+    plan.require_statistical()
+    return plan
 
 
 def _out_dir(args) -> Path:
@@ -142,7 +127,7 @@ def _manifest(args, command: str) -> RunManifest:
         config_source=args.config if args.config else "flags+defaults",
         out_dir=str(args.out),
         seed=args.seed,
-        fmt=args.format,
+        format=args.format,
     )
 
 
@@ -162,13 +147,10 @@ def _csv_comments(manifest: RunManifest, resolved: dict) -> list[str]:
     ]
 
 
-def cmd_analyze(args) -> int:
-    cfg = _resolve_config(args, _config_file_values(args))
+def cmd_analyze(args, file_vals: dict) -> int:
+    cfg = _resolve_config(args, file_vals)
     manifest = _manifest(args, "analyze")
-    try:
-        report = total_dof(cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = total_dof(cfg)
     out = _out_dir(args)
 
     json_path = out / "dof_report.json"
@@ -187,19 +169,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, file_vals: dict) -> int:
     values = args.values
     if len(values) < 1 or any(b <= a for a, b in zip(values, values[1:])):
         raise CliError("sweep values must be strictly increasing")
-    base = _resolve_config(args, _config_file_values(args)).to_dict()
+    base = _resolve_config(args, file_vals).to_dict()
     rows = []
     # validate and evaluate every point before any output is written
     for v in values:
         point = dict(base)
         point[args.axis] = v
         try:
-            cfg = ChannelConfig(**point)
-            rep = total_dof(cfg)
+            rep = total_dof(ChannelConfig(**point))
         except ValueError as exc:
             raise CliError(f"{args.axis}={v!r}: {exc}") from exc
         rows.append((v, rep.n_upper, rep.t_eff, rep.total))
@@ -228,24 +209,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    file_vals = _config_file_values(args)
-    cfg = _resolve_config(args, file_vals)
-    plan = _resolve_plan(args, file_vals)
-    manifest = _manifest(args, "simulate")
-    try:
-        report = run_campaign(cfg, plan)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    out = _out_dir(args)
-    path = out / "verification.json"
-    path.write_text(_json_artifact(manifest, report.to_dict()) + "\n")
+def cmd_simulate(args, file_vals: dict) -> int:
+    report = run_campaign(_resolve_config(args, file_vals), _resolve_plan(args, file_vals))
+    path = _out_dir(args) / "verification.json"
+    path.write_text(_json_artifact(_manifest(args, "simulate"), report.to_dict()) + "\n")
     print(report.summary_table())
     print(f"wrote {path}")
     return 0 if report.passed else 3
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args, file_vals: dict) -> int:
     orders = args.orders
     if not orders or any(n < 0 for n in orders):
         raise CliError(f"orders must be nonnegative integers, got {orders}")
@@ -257,11 +230,12 @@ def cmd_tables(args) -> int:
     params: dict = {"kind": args.kind, "orders": list(orders), "samples": args.samples}
 
     if args.kind == "bessel":
-        if args.z_max <= 0.0:
-            raise CliError(f"z-max must be positive, got {args.z_max}")
+        if not 0.0 < args.z_max < np.inf:
+            raise CliError(f"z-max must be positive and finite, got {args.z_max}")
         params["z_max"] = args.z_max
         grid = np.linspace(0.0, args.z_max, args.samples)
-        cols = {f"j{n}": [bessel_j_table(n_top, z)[n] for z in grid] for n in orders}
+        table = [bessel_j_table(n_top, z) for z in grid]
+        cols = {f"j{n}": [row[n] for row in table] for n in orders}
     else:
         grid = np.linspace(-1.0, 1.0, args.samples)
         cols = {}
@@ -300,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="random seed recorded in artifacts")
+    common.add_argument("--seed", type=int, help="random seed recorded in artifacts (default: config file, else 0)")
     common.add_argument("--format", choices=("json", "csv"), default="csv",
                         help="artifact format for sweep/tables")
     for key in DEFAULT_CONFIG:
@@ -339,8 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        file_vals = load_config_file(args.config) if args.config else {}
+        if args.seed is None:
+            args.seed = file_vals.get("seed", 0)
+        return args.func(args, file_vals)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

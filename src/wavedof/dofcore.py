@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .channel import ChannelConfig
 
 __all__ = [
@@ -31,7 +33,8 @@ __all__ = [
 
 _E_PI = math.e * math.pi
 
-_MAX_SCAN_ORDER = 10_000_000
+# Bound on the truncation order N_u; a budget builds all 2 N_u - 1 rows.
+_MAX_ORDER = 10_000_000
 
 
 class SnrBound(NamedTuple):
@@ -67,6 +70,36 @@ def snr_max(cfg: ChannelConfig) -> float:
     return cfg.p_max / cfg.noise_var
 
 
+def _shift(cfg: ChannelConfig) -> float | None:
+    """ln(gamma / snr_max) / 2, or None for a silent channel (snr_max == 0)."""
+    s = snr_max(cfg)
+    return None if s == 0.0 else 0.5 * (math.log(cfg.gamma) - math.log(s))
+
+
+def _crit_line(cfg: ChannelConfig) -> tuple[float, float] | None:
+    """(scale, shift) with F_n = max(0, scale * (|n| + shift)); None without a line.
+
+    scale = c / (e pi R) and shift = ln(gamma / snr_max) / 2.  Affine F_n gives
+    the closed form N_u = max(1, floor(band_high / scale - shift) + 1).  A
+    silent channel and a point region (R == 0) have no line.
+    """
+    shift = _shift(cfg)
+    if shift is None or cfg.radius == 0.0:
+        return None
+    return cfg.wave_speed / (_E_PI * cfg.radius), shift
+
+
+def _f_crit(cfg: ChannelConfig, n):
+    """F_n for nonnegative orders n, an int or an array; see critical_frequency."""
+    line = _crit_line(cfg)
+    if line is None:
+        shift = _shift(cfg)
+        return np.where((n == 0) & (shift is not None and shift <= 0.0), 0.0, math.inf)
+    # fmax maps the NaN of an overflowed scale times n + shift == 0 to 0, as max does
+    with np.errstate(invalid="ignore"):
+        return np.fmax(0.0, line[0] * (n + line[1]))
+
+
 def critical_frequency(cfg: ChannelConfig, n: int) -> float:
     """Frequency below which order n stays under the detection threshold.
 
@@ -75,17 +108,7 @@ def critical_frequency(cfg: ChannelConfig, n: int) -> float:
     inf when the channel is silent (p_max == 0) or the region is a point
     (R == 0, except order 0 at gamma <= snr_max, which stays usable).
     """
-    n = abs(int(n))
-    s = snr_max(cfg)
-    if s == 0.0:
-        return math.inf
-    log_ratio = math.log(cfg.gamma) - math.log(s)
-    if cfg.radius == 0.0:
-        if n == 0 and log_ratio <= 0.0:
-            return 0.0
-        return math.inf
-    scale = cfg.wave_speed / (_E_PI * cfg.radius)
-    return max(0.0, scale * (n + 0.5 * log_ratio))
+    return float(_f_crit(cfg, abs(int(n))))
 
 
 def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
@@ -110,14 +133,32 @@ def truncation_order(cfg: ChannelConfig) -> int:
     """Smallest order whose critical frequency clears the whole band.
 
     Orders at or above this contribute no usable bandwidth; the budget
-    enumerates strictly smaller orders.
+    enumerates strictly smaller orders.  N_u is the closed form of
+    ``_crit_line``; a ValueError names the bound when it exceeds 10^7.
     """
-    n = 1
-    while critical_frequency(cfg, n) <= cfg.band_high:
-        n += 1
-        if n > _MAX_SCAN_ORDER:
-            raise RuntimeError(f"truncation order exceeds {_MAX_SCAN_ORDER}; config out of supported range")
-    return n
+    line = _crit_line(cfg)
+    if line is None:
+        return 1
+    scale, shift = line
+    # a zero scale puts every F_n at 0, so no order clears the band
+    estimate = cfg.band_high / scale - shift if scale > 0.0 else math.inf
+    # bound first: far past it n - 1 == n in floats, and floor(inf) raises
+    if estimate <= _MAX_ORDER:
+        n = max(1, math.floor(estimate) + 1)
+        # where F_n lies within an ulp of band_high the floor can be one off
+        while n > 1 and critical_frequency(cfg, n - 1) > cfg.band_high:
+            n -= 1
+        while critical_frequency(cfg, n) <= cfg.band_high:
+            n += 1
+        if n <= _MAX_ORDER:
+            return n
+    raise ValueError(f"truncation order exceeds the bound N_u <= {_MAX_ORDER}; reduce radius, band or snr_max")
+
+
+def _usable_band(cfg: ChannelConfig, n, f_crit):
+    """W_n from |n| and F_n, for one order or arrays of them."""
+    w = np.where(f_crit > cfg.band_high, 0.0, cfg.band_high - np.maximum(cfg.band_low, f_crit))
+    return np.where(n == 0, 2.0 * cfg.half_bw, w)
 
 
 def effective_bandwidth(cfg: ChannelConfig, n: int) -> float:
@@ -127,13 +168,7 @@ def effective_bandwidth(cfg: ChannelConfig, n: int) -> float:
     band above their critical frequency, and nothing once the critical
     frequency clears the band edge.  Even in |n|.
     """
-    n = abs(int(n))
-    if n == 0:
-        return 2.0 * cfg.half_bw
-    f_crit = critical_frequency(cfg, n)
-    if f_crit > cfg.band_high:
-        return 0.0
-    return cfg.band_high - max(cfg.band_low, f_crit)
+    return float(_usable_band(cfg, abs(int(n)), critical_frequency(cfg, n)))
 
 
 def total_dof(cfg: ChannelConfig) -> "DofReport":
@@ -145,17 +180,16 @@ def total_dof(cfg: ChannelConfig) -> "DofReport":
     """
     n_up = truncation_order(cfg)
     t_eff = effective_time(cfg)
-    rows = []
-    for n in range(-(n_up - 1), n_up):
-        f_crit = critical_frequency(cfg, n)
-        w_eff = effective_bandwidth(cfg, n)
-        rows.append(OrderBudget(n=n, f_crit=f_crit, w_eff=w_eff, dof=w_eff * t_eff + 1.0))
+    n = np.arange(-(n_up - 1), n_up)
+    f_crit = _f_crit(cfg, np.abs(n))
+    w_eff = _usable_band(cfg, n, f_crit)
+    dof = (w_eff * t_eff + 1.0).tolist()
     return DofReport(
         config=cfg,
         t_eff=t_eff,
         n_upper=n_up,
-        per_order=tuple(rows),
-        total=float(sum(r.dof for r in rows)),
+        per_order=tuple(map(OrderBudget, n.tolist(), f_crit.tolist(), w_eff.tolist(), dof)),
+        total=float(sum(dof)),
     )
 
 

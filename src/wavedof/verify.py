@@ -23,6 +23,8 @@ from . import __version__
 from .channel import (
     ChannelConfig,
     _circle_nodes,
+    _complex_normal,
+    _gain_scale,
     _modal_order,
     _node_noise_var,
     _planewave_sum,
@@ -85,13 +87,7 @@ class TrialPlan:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "num_trials": self.num_trials,
-            "circle_samples": self.circle_samples,
-            "seed": self.seed,
-            "n_probe": self.n_probe,
-            "freq_samples": self.freq_samples,
-        }
+        return dataclasses.asdict(self)
 
 
 class SnrEstimate(NamedTuple):
@@ -114,13 +110,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
 
 def orthogonality_check(n: int, m: int, num_samples: int) -> float:
@@ -174,15 +164,13 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     omega = 2.0 * math.pi * grid
     j_row = _bessel_row(n, 2.0 * math.pi * grid * cfg.radius / cfg.wave_speed)
 
-    # alpha_n of the discrete-scatterer ensemble is exactly CN(0, p_max)
-    # independently per frequency, so the coefficient is drawn from that
-    # law directly instead of rebuilding a scatterer set per trial
+    # alpha_n of the discrete-scatterer ensemble is exactly CN(0, p_max), the
+    # gain law of one scatterer, independently per frequency, so it is drawn
+    # from that law directly instead of rebuilding a scatterer set per trial
     rng = np.random.default_rng(plan.seed)
     t, k = plan.num_trials, grid.size
-    a_scale = math.sqrt(cfg.p_max / 2.0)
-    alpha = a_scale * (rng.standard_normal((t, k)) + 1j * rng.standard_normal((t, k)))
-    nu_scale = math.sqrt(2.0 * math.pi * cfg.noise_var / 2.0)
-    nu = nu_scale * (rng.standard_normal((t, k)) + 1j * rng.standard_normal((t, k)))
+    alpha = _complex_normal(rng, _gain_scale(cfg, 1), (t, k))
+    nu = _complex_normal(rng, math.sqrt(2.0 * math.pi * cfg.noise_var / 2.0), (t, k))
 
     sig = _trapezoid(np.abs(alpha * j_row) ** 2, omega, axis=1)
     den = _trapezoid(np.abs(nu) ** 2 / (2.0 * math.pi), omega, axis=1)
@@ -304,10 +292,7 @@ def power_balance_check(
     rng = np.random.default_rng(plan.seed)
     t = plan.num_trials
     angles = rng.uniform(0.0, 2.0 * math.pi, (t, num_scatterers))
-    g_scale = math.sqrt(cfg.p_max / (2.0 * num_scatterers))
-    gains = g_scale * (
-        rng.standard_normal((t, num_scatterers)) + 1j * rng.standard_normal((t, num_scatterers))
-    )
+    gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (t, num_scatterers))
     # (t, m) field samples on the circle, one scatterer set per trial
     values = _planewave_sum(angles[:, None, :], gains[:, None, :], z, _circle_nodes(m)[None, :, None])
     if cfg.noise_var > 0.0:

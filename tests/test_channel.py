@@ -15,6 +15,8 @@ from wavedof.channel import (
     ModalSpectrum,
     ScattererSet,
     _circle_nodes,
+    _complex_normal,
+    _gain_scale,
     _planewave_sum,
     _white_circle_noise,
     make_scatterers,
@@ -65,6 +67,17 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match=field):
             base_cfg(**{field: value})
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        field=st.sampled_from(["f0", "half_bw", "radius", "obs_time", "wave_speed", "noise_var", "p_max", "gamma"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        radius=st.floats(0.0, 1e3),
+        gamma=st.floats(1e-6, 1e6),
+    )
+    def test_non_finite_field_rejected_by_name(self, field, value, radius, gamma):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            base_cfg(**{"radius": radius, "gamma": gamma, field: value})
+
     def test_degenerate_zeros_accepted(self):
         base_cfg(radius=0.0)
         base_cfg(noise_var=0.0)
@@ -95,6 +108,19 @@ class TestMakeScatterers:
         target = cfg.p_max / (2 * 10_000)
         assert np.var(s.gains.real) == pytest.approx(target, rel=0.05)
         assert np.var(s.gains.imag) == pytest.approx(target, rel=0.05)
+
+    def test_gains_follow_the_gain_law_and_draw_order(self):
+        # angles first, then every real part, then every imaginary part
+        cfg = base_cfg(p_max=3.0)
+        s = make_scatterers(cfg, 5, 4, seed=SEED)
+        rng = np.random.default_rng(SEED)
+        rng.uniform(0.0, 2.0 * math.pi, 5)
+        real, imag = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        assert np.array_equal(s.gains, math.sqrt(3.0 / 10.0) * (real + 1j * imag))
+        assert _gain_scale(cfg, 5) == math.sqrt(3.0 / 10.0)
+        rng = np.random.default_rng(SEED)
+        rng.uniform(0.0, 2.0 * math.pi, 5)
+        assert np.array_equal(_complex_normal(rng, _gain_scale(cfg, 5), (5, 4)), s.gains)
 
     def test_angle_range_and_grid(self):
         cfg = base_cfg()

@@ -124,6 +124,53 @@ class TestConfigFile:
         vals = load_config_file(str(cfg))
         assert vals == {"num_trials": 500.0, "seed": 3.0}
 
+    def test_file_seed_recorded(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 9\nnum_trials = 100\n")
+        assert load_config_file(str(cfg)) == {"seed": 9, "num_trials": 100}
+        assert type(load_config_file(str(cfg))["seed"]) is int
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code in (0, 3)
+        body = json.loads((tmp_path / "verification.json").read_text())
+        assert body["seed"] == 9 and body["manifest"]["seed"] == 9
+        assert body["plan"]["seed"] == 9 and body["plan"]["num_trials"] == 100
+
+    def test_seed_flag_overrides_file(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 9\n")
+        assert main(["analyze", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "dof_report.json").read_text())["seed"] == 4
+        assert "# seed: 4\n" in (tmp_path / "dof_report.csv").read_text()
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "argv,config,named",
+        [
+            (["analyze", "--radius", "2e5"], None, "N_u <= 10000000"),
+            (["analyze", "--radius", "1e300"], None, "N_u <= 10000000"),
+            (["analyze", "--f0", "inf"], None, "f0"),
+            (["analyze", "--wave-speed", "nan"], None, "wave_speed"),
+            (["analyze", "--obs-time", "nan"], None, "obs_time"),
+            (["analyze", "--p-max", "1e308", "--noise-var", "1e-10"], None, "N_u <= 10000000"),
+            (["sweep", "--axis", "radius", "--values", "0.1", "nan"], None, "radius"),
+            (["tables", "--kind", "bessel", "--orders", "3", "--z-max", "nan"], None, "z-max"),
+            (["tables", "--kind", "bessel", "--orders", "10001"], None, "10000"),
+            (["simulate"], "num_trials = nan\n", "cfg.txt:2: num_trials"),
+            (["simulate"], "num_trials = 2000.7\n", "cfg.txt:2: num_trials"),
+            (["simulate"], "seed = 1e400\n", "cfg.txt:2: seed"),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, config, named):
+        if config is not None:
+            path = tmp_path / "cfg.txt"
+            path.write_text("# plan\n" + config)
+            argv = [*argv, "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
+
 
 class TestSweep:
     def test_radius_sweep_columns_and_growth(self, tmp_path):

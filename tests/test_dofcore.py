@@ -9,9 +9,12 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wavedof.channel import ChannelConfig
 from wavedof.dofcore import (
+    OrderBudget,
     critical_frequency,
     effective_bandwidth,
     effective_time,
@@ -258,3 +261,142 @@ class TestMonotonicity:
         cfgs = [worked_cfg(p_max=100.0, gamma=g) for g in (0.01, 1.0, 50.0)]
         totals = [total_dof(c).total for c in cfgs]
         assert all(b < a for a, b in zip(totals, totals[1:]))
+
+
+# The per-order scan and loop that computed the budget before the closed
+# form, kept verbatim as the reference implementation.
+
+
+def oracle_critical_frequency(cfg, n):
+    n = abs(int(n))
+    s = snr_max(cfg)
+    if s == 0.0:
+        return math.inf
+    log_ratio = math.log(cfg.gamma) - math.log(s)
+    if cfg.radius == 0.0:
+        if n == 0 and log_ratio <= 0.0:
+            return 0.0
+        return math.inf
+    scale = cfg.wave_speed / (math.e * math.pi * cfg.radius)
+    return max(0.0, scale * (n + 0.5 * log_ratio))
+
+
+def oracle_effective_bandwidth(cfg, n):
+    n = abs(int(n))
+    if n == 0:
+        return 2.0 * cfg.half_bw
+    f_crit = oracle_critical_frequency(cfg, n)
+    if f_crit > cfg.band_high:
+        return 0.0
+    return cfg.band_high - max(cfg.band_low, f_crit)
+
+
+def oracle_budget(cfg):
+    """(n_upper, rows, total) by scanning orders one at a time."""
+    n_up = 1
+    while oracle_critical_frequency(cfg, n_up) <= cfg.band_high:
+        n_up += 1
+    t_eff = effective_time(cfg)
+    rows = []
+    for n in range(-(n_up - 1), n_up):
+        w_eff = oracle_effective_bandwidth(cfg, n)
+        rows.append(OrderBudget(n, oracle_critical_frequency(cfg, n), w_eff, w_eff * t_eff + 1.0))
+    return n_up, tuple(rows), float(sum(r.dof for r in rows))
+
+
+def assert_matches_oracle(cfg):
+    n_up, rows, total = oracle_budget(cfg)
+    assert truncation_order(cfg) == n_up
+    rep = total_dof(cfg)
+    assert rep.n_upper == n_up
+    assert rep.per_order == rows
+    assert rep.total == total
+    for n in range(n_up + 2):
+        assert critical_frequency(cfg, n) == oracle_critical_frequency(cfg, n)
+        assert effective_bandwidth(cfg, n) == oracle_effective_bandwidth(cfg, n)
+
+
+@st.composite
+def budget_configs(draw):
+    """Configs with N_u up to a few hundred, the band edge often exactly on some F_k."""
+    radius = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    wave_speed = draw(st.floats(1e3, 1e9))
+    noise_var = draw(st.floats(1e-3, 1e3))
+    p_max = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    # gamma / snr_max on both sides of 1, exactly 1 included
+    ratio = draw(st.one_of(st.just(1.0), st.floats(1e-8, 1e8)))
+    gamma = ratio * p_max / noise_var if p_max > 0.0 else draw(st.floats(1e-3, 1e3))
+    base = dict(radius=radius, obs_time=draw(st.floats(0.0, 1e-6)), wave_speed=wave_speed,
+                noise_var=noise_var, p_max=p_max, gamma=gamma)
+    probe = ChannelConfig(f0=2.0, half_bw=1.0, **base)
+    scale = wave_speed / (math.e * math.pi * radius) if radius > 0.0 else wave_speed
+    f_k = oracle_critical_frequency(probe, draw(st.integers(1, 300)))
+    if draw(st.booleans()) and 0.0 < f_k < math.inf:
+        # the band edge on F_k or one ulp to either side
+        band_high = draw(st.sampled_from([f_k, math.nextafter(f_k, 0.0), math.nextafter(f_k, math.inf)]))
+    else:
+        band_high = scale * draw(st.floats(1e-3, 300.0))
+    half_bw = band_high * draw(st.floats(0.01, 0.49))
+    f0 = band_high - half_bw
+    # nudge f0 by an ulp at a time until f0 + half_bw lands on band_high
+    for _ in range(4):
+        if f0 + half_bw == band_high:
+            break
+        f0 = math.nextafter(f0, math.inf if f0 + half_bw < band_high else -math.inf)
+    return ChannelConfig(f0=f0, half_bw=half_bw, **base)
+
+
+class TestClosedFormAgainstScan:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(cfg=budget_configs())
+    def test_matches_scan_and_loop(self, cfg):
+        assume(oracle_critical_frequency(cfg, 300) > cfg.band_high)
+        assert_matches_oracle(cfg)
+
+    # rounding puts the closed-form floor one order off in each direction here
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ChannelConfig(f0=244660257.21179268, half_bw=81553419.07059756, radius=0.022503189629941682,
+                          obs_time=0.0, wave_speed=242042.82596539633, noise_var=0.0016291320205914558,
+                          p_max=574.5924343514893, gamma=47654.05755407671),
+            ChannelConfig(f0=13673388.18122511, half_bw=4557796.06040837, radius=0.0017287065617760048,
+                          obs_time=0.0, wave_speed=1156.210500151457, noise_var=786.1433757647487,
+                          p_max=0.05933338971703838, gamma=0.002648059212463295),
+        ],
+    )
+    def test_floor_corrected_at_the_band_edge(self, cfg):
+        assert_matches_oracle(cfg)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(radius=0.0, gamma=0.5),            # point region, order 0 usable
+            dict(radius=0.0, gamma=2.0),            # point region, order 0 below threshold
+            dict(p_max=0.0),                        # silent channel
+            dict(radius=0.0, p_max=0.0),
+            dict(gamma=1e-300),                     # shift far below zero
+            dict(radius=1e-310, wave_speed=1e308),  # scale overflows to inf
+            dict(radius=1e-310, wave_speed=1e308, p_max=math.exp(4.0)),
+        ],
+    )
+    def test_degenerate_limits(self, kw):
+        assert_matches_oracle(worked_cfg(**kw))
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(radius=2e5),                       # N_u about 1.6e7
+            dict(radius=1e300),                     # n - 1 == n at this size
+            dict(p_max=1e308, noise_var=1e-10),     # snr_max overflows to inf
+            dict(radius=1e3, wave_speed=5e-324),    # scale underflows to 0
+        ],
+    )
+    def test_past_the_bound_raises_naming_it(self, kw):
+        cfg = worked_cfg(**kw)
+        with pytest.raises(ValueError, match="N_u <= 10000000"):
+            truncation_order(cfg)
+        with pytest.raises(ValueError, match="N_u <= 10000000"):
+            total_dof(cfg)
