@@ -97,15 +97,13 @@ def symmetric_orders(n_max: int) -> np.ndarray:
     return np.arange(-n_max, n_max + 1)
 
 
-def modal_truncation_order(cfg: ChannelConfig, r: float | None = None) -> int:
-    """Orders needed for the modal sum to match the plane-wave field.
+def modal_truncation_order(cfg: ChannelConfig) -> int:
+    """Orders needed for the modal sum to match the plane-wave field on the disk.
 
-    ceil(e * k_max * r / 2) + 12; Bessel terms decay super-exponentially
-    beyond order e*kr/2, and 12 extra orders push the tail below 1e-8.
+    ceil(e * k_max * R / 2) + 12; Bessel terms decay super-exponentially
+    beyond order e*kR/2, and 12 extra orders push the tail below 1e-8.
     """
-    if r is None:
-        r = cfg.radius
-    return _modal_order(cfg.k_max * r)
+    return _modal_order(cfg.k_max * cfg.radius)
 
 
 def _modal_order(kr: float) -> int:
@@ -197,35 +195,23 @@ class FieldSamples:
             raise ValueError("field values must be finite")
 
 
-def make_scatterers(
-    cfg: ChannelConfig,
-    num_scatterers: int,
-    num_freqs: int,
-    seed: int,
-    freq_span: tuple[float, float] | None = None,
-) -> ScattererSet:
+def make_scatterers(cfg: ChannelConfig, num_scatterers: int, num_freqs: int, seed: int) -> ScattererSet:
     """Draw a random scatterer ensemble.
 
     Angles are i.i.d. uniform on [0, 2pi); gains are i.i.d. circularly
     symmetric complex Gaussian with variance p_max/num_scatterers per
     scatterer and frequency, so the total power sum_j E|g_j|^2 equals
-    p_max at every frequency.  Deterministic for a given seed.
-
-    ``freq_span`` overrides the default grid span [band_low, band_high];
-    the verification harness uses it to extend the spectrum envelope below
-    the physical band.
+    p_max at every frequency.  The grid spans [band_low, band_high].
+    Deterministic for a given seed.
     """
     if num_scatterers < 1:
         raise ValueError(f"num_scatterers must be >= 1, got {num_scatterers}")
     if num_freqs < 2:
         raise ValueError(f"num_freqs must be >= 2, got {num_freqs}")
-    lo, hi = freq_span if freq_span is not None else (cfg.band_low, cfg.band_high)
-    if not hi > lo >= 0.0:
-        raise ValueError(f"frequency span must satisfy hi > lo >= 0, got ({lo}, {hi})")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, num_scatterers)
     gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (num_scatterers, num_freqs))
-    return ScattererSet(angles=angles, gains=gains, freq_grid=np.linspace(lo, hi, num_freqs))
+    return ScattererSet(angles=angles, gains=gains, freq_grid=np.linspace(cfg.band_low, cfg.band_high, num_freqs))
 
 
 def _gain_scale(cfg: ChannelConfig, num_scatterers: int) -> float:

@@ -234,8 +234,8 @@ def cmd_tables(args, file_vals: dict) -> int:
             raise CliError(f"z-max must be positive and finite, got {args.z_max}")
         params["z_max"] = args.z_max
         grid = np.linspace(0.0, args.z_max, args.samples)
-        table = [bessel_j_table(n_top, z) for z in grid]
-        cols = {f"j{n}": [row[n] for row in table] for n in orders}
+        table = bessel_j_table(n_top, grid)
+        cols = {f"j{n}": table[:, n] for n in orders}
     else:
         grid = np.linspace(-1.0, 1.0, args.samples)
         cols = {}

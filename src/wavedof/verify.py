@@ -12,7 +12,6 @@ verdict; fixed seeds make a full campaign bit-reproducible.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -128,12 +127,6 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     return float(abs(quad - expected))
 
 
-def _bessel_row(n: int, z: np.ndarray) -> np.ndarray:
-    """J_|n| at every argument in z."""
-    n = abs(int(n))
-    return np.array([bessel_j_table(n, zk)[n] for zk in z])
-
-
 def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
     """Delta-method standard error of mean(num)/mean(den), independent parts."""
     t = num.size
@@ -162,7 +155,7 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     if grid.size < 2:
         raise ValueError(f"fewer than 2 grid points below f_edge={f_edge}; densify the plan")
     omega = 2.0 * math.pi * grid
-    j_row = _bessel_row(n, 2.0 * math.pi * grid * cfg.radius / cfg.wave_speed)
+    j_row = bessel_j_table(abs(n), 2.0 * math.pi * grid * cfg.radius / cfg.wave_speed)[:, -1]
 
     # alpha_n of the discrete-scatterer ensemble is exactly CN(0, p_max), the
     # gain law of one scatterer, independently per frequency, so it is drawn
@@ -368,7 +361,7 @@ def time_support_check(
     omega_max = grid.kr_max * c / radius
     omega = np.linspace(0.0, omega_max, grid.freq_samples)
     window = 0.5 * (1.0 - np.cos(2.0 * math.pi * omega / omega_max))
-    spectrum = window * _bessel_row(n, omega * radius / c)
+    spectrum = window * bessel_j_table(abs(n), omega * radius / c)[:, -1]
 
     t_edge_nominal = radius / c
     times = np.linspace(0.0, grid.pad * t_edge_nominal, grid.time_samples)
@@ -458,9 +451,6 @@ class CampaignReport:
             "checks": [c.to_dict() for c in self.checks],
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary_table(self) -> str:
         lines = [f"{'check':<28} {'estimate':>14} {'stderr':>12} verdict"]

@@ -159,6 +159,8 @@ class TestRejectedInputs:
             (["simulate"], "num_trials = nan\n", "cfg.txt:2: num_trials"),
             (["simulate"], "num_trials = 2000.7\n", "cfg.txt:2: num_trials"),
             (["simulate"], "seed = 1e400\n", "cfg.txt:2: seed"),
+            (["tables", "--kind", "bessel", "--orders", "0", "--z-max", "1e8"], None, "<= 100000"),
+            (["tables", "--kind", "chebyshev", "--orders", "100000000"], None, "<= 10000"),
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, config, named):

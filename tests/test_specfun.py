@@ -2,8 +2,10 @@
 
 Reference values come from an independent high-precision route: an
 ascending power series evaluated with mpmath at 60 digits (written here
-from the series definition, not mpmath's own Bessel), plus exact trig
-and rational identities for the polynomial families.
+from the series definition, not mpmath's own Bessel), mpmath's own
+``besselj``, and exact trig and rational identities for the polynomial
+families.  The per-argument Bessel evaluation that the array kernel
+replaced is kept below as the bitwise oracle of the kernel.
 """
 
 import math
@@ -11,6 +13,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavedof.specfun import (
     bessel_j,
@@ -38,6 +42,92 @@ def oracle_j(n, z):
         if abs(term) < abs(total) * mp.mpf(10) ** (-55):
             return total
         m += 1
+
+
+# The per-argument Bessel evaluation the array kernel replaced, verbatim:
+# _series_j per order for 0 < z <= 12, _miller_table above.
+_SERIES_Z_CUTOFF = 12.0
+_SERIES_REL_TOL = 1e-10
+_SERIES_MAX_TERMS = 1600
+
+
+def _series_j(n: int, z: float) -> float:
+    """Ascending power series J_n(z) = (z/2)^n/n! * sum_m (-q)^m / (m! (n+1)_m)."""
+    if z == 0.0:
+        return 1.0 if n == 0 else 0.0
+    zh = 0.5 * z
+    # prefactor (z/2)^n / n! by iterative product; gradual underflow to 0 is
+    # correct here because the prefactor is an upper envelope of |J_n|
+    pref = 1.0
+    for k in range(1, n + 1):
+        pref *= zh / k
+    if pref == 0.0:
+        return 0.0
+    q = -(zh * zh)
+    term = 1.0
+    terms = [term]
+    peak = 1.0
+    for m in range(1, _SERIES_MAX_TERMS + 1):
+        term = term * q / (m * (n + m))
+        terms.append(term)
+        peak = max(peak, abs(term))
+        if abs(term) <= _SERIES_REL_TOL * 1e-4 * peak and m * (n + m) > -q:
+            return pref * math.fsum(terms)
+    raise ValueError(f"Bessel series did not converge within {_SERIES_MAX_TERMS} terms for n={n}, z={z}")
+
+
+def _miller_table(n_max: int, z: float) -> np.ndarray:
+    """J_0(z)..J_{n_max}(z) by backward recurrence with sum normalization."""
+    m0 = max(n_max, int(math.ceil(z)))
+    start = m0 + 40 + int(math.ceil(math.sqrt(40.0 * m0)))
+    if start % 2:
+        start += 1
+    out = np.zeros(n_max + 1)
+    j_up = 0.0        # trial J_{k+1}
+    j_cur = 1e-300    # trial J_k at k = start
+    norm = 0.0        # accumulates J_0 + 2*sum_k J_{2k}
+    for k in range(start, 0, -1):
+        j_down = (2.0 * k / z) * j_cur - j_up
+        j_up = j_cur
+        j_cur = j_down
+        idx = k - 1
+        if idx <= n_max:
+            out[idx] = j_cur
+        if idx % 2 == 0:
+            norm += j_cur if idx == 0 else 2.0 * j_cur
+        if abs(j_cur) > 1e250:
+            j_cur *= 1e-250
+            j_up *= 1e-250
+            norm *= 1e-250
+            out *= 1e-250
+    return out / norm
+
+
+def old_bessel_j_table(n_max: int, z: float) -> np.ndarray:
+    """All of J_0(z)..J_{n_max}(z) in one pass."""
+    n_max = int(n_max)
+    z = float(z)
+    if z == 0.0:
+        out = np.zeros(n_max + 1)
+        out[0] = 1.0
+        return out
+    if z > _SERIES_Z_CUTOFF:
+        return _miller_table(n_max, z)
+    return np.array([_series_j(n, z) for n in range(n_max + 1)])
+
+
+def old_table(n_max, z):
+    """The old kernel called once per argument, as its callers did."""
+    z = np.asarray(z, dtype=float)
+    rows = [old_bessel_j_table(n_max, zk) for zk in z.ravel()]
+    return np.array(rows).reshape(z.shape + (n_max + 1,))
+
+
+# both regimes, both sides of the cutoff, zero and subnormal arguments
+_special_z = st.sampled_from(
+    [0.0, 5e-324, 1e-310, 1e-300, 12.0, math.nextafter(12.0, 0.0), math.nextafter(12.0, 13.0)]
+)
+_any_z = st.one_of(_special_z, st.floats(0.0, 12.0), st.floats(12.0, 300.0))
 
 
 # frozen oracle outputs (60-digit series, rounded to double)
@@ -92,11 +182,21 @@ class TestBesselValues:
         assert worst < 1e-10
 
     def test_table_matches_scalar(self):
-        # cross-validates the two evaluation routes: the table uses the
-        # backward recurrence at z=40 while high-order scalars re-series
+        # the backward recurrence at z=40 against mpmath's own J_n, up to
+        # orders far past the turning point
         tab = bessel_j_table(60, 40.0)
         for n in (0, 3, 17, 44, 60):
-            assert tab[n] == pytest.approx(bessel_j(n, 40.0), rel=1e-10, abs=1e-280)
+            assert tab[n] == pytest.approx(float(mp.besselj(n, 40)), rel=1e-10, abs=1e-280)
+
+    @pytest.mark.parametrize("n,z", [(300, 150.0), (1000, 500.0), (3000, 1500.0), (194, 97.0)])
+    def test_high_order_below_turning_point(self, n, z):
+        # z <= n/2 with z > 12: the recurrence, not the series, is accurate here
+        ref = mp.besselj(n, z)
+        got = bessel_j(n, z)
+        if abs(ref) < mp.mpf("1e-300"):
+            assert got == 0.0
+        else:
+            assert abs(got - ref) / abs(ref) < 1e-10
 
     def test_table_small_argument(self):
         tab = bessel_j_table(8, 2.5)
@@ -131,7 +231,31 @@ class TestBesselInvariants:
             z = float(rng.uniform(0.0, 120.0))
             assert abs(bessel_j(n, z)) <= 1.0 + 1e-12
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 10_000), z=st.floats(0.0, 1e4))
+    def test_magnitude_cap_whole_order_range(self, n, z):
+        assert abs(bessel_j(n, z)) <= 1.0 + 1e-12
 
+
+class TestBesselKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(0, 120),
+        z=st.one_of(
+            _any_z,
+            st.lists(_any_z, min_size=0, max_size=6),
+            st.lists(_any_z, min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
+        ),
+    )
+    def test_bitwise_equal_to_per_argument_oracle(self, n_max, z):
+        got = bessel_j_table(n_max, z)
+        want = old_table(n_max, z)
+        assert got.shape == np.shape(z) + (n_max + 1,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_reads_the_table(self):
+        for n, z in ((0, 0.0), (7, 3.5), (40, 12.0), (60, 40.0)):
+            assert bessel_j(n, z) == bessel_j_table(n, z)[n]
 class TestBesselDomain:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="reflection"):
@@ -150,6 +274,15 @@ class TestBesselDomain:
             bessel_j(0, math.nan)
         with pytest.raises(ValueError):
             bessel_j(0, math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j_table(3, [1.0, math.nan])
+
+    def test_argument_bound(self):
+        assert abs(bessel_j_table(0, 1e5)[0]) <= 1.0
+        with pytest.raises(ValueError, match="<= 100000"):
+            bessel_j(0, math.nextafter(1e5, math.inf))
+        with pytest.raises(ValueError, match="<= 100000"):
+            bessel_j_table(2, np.array([[1.0, 2.0], [3.0, 1e8]]))
 
 
 class TestStirling:
@@ -216,3 +349,10 @@ class TestChebyshev:
             chebyshev_second_kind(3, -1.0001)
         with pytest.raises(ValueError):
             chebyshev_first_kind(-1, 0.5)
+
+    def test_degree_bound(self):
+        assert chebyshev_first_kind(10_000, 1.0) == 1.0
+        with pytest.raises(ValueError, match="<= 10000"):
+            chebyshev_first_kind(10_001, 0.5)
+        with pytest.raises(ValueError, match="<= 10000"):
+            chebyshev_second_kind(100_000_000, 0.5)
