@@ -41,7 +41,6 @@ from .verify import (
     CampaignReport,
     CheckResult,
     SnrEstimate,
-    TimeSupportGrid,
     TrialPlan,
     dof_prediction_check,
     empirical_order_snr,

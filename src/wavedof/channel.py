@@ -228,9 +228,23 @@ def _grid_index(freq_grid: np.ndarray, omega: float) -> int:
     f = omega / (2.0 * math.pi)
     idx = int(np.argmin(np.abs(freq_grid - f)))
     scale = max(abs(freq_grid[-1]), 1.0)
-    if abs(freq_grid[idx] - f) > 1e-9 * scale:
+    # written so that a NaN frequency fails the test
+    if not abs(freq_grid[idx] - f) <= 1e-9 * scale:
         raise ValueError(f"frequency {f} Hz is not on the grid")
     return idx
+
+
+def _check_position(cfg: ChannelConfig, x: tuple[float, float], omega: float) -> tuple[float, float]:
+    """(r, phi) of a field point: r, phi and omega finite, 0 <= r <= radius."""
+    r, phi = x
+    for name, v in (("r", r), ("phi", phi), ("omega", omega)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if r < 0.0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if r > cfg.radius * (1.0 + 1e-12):
+        raise ValueError(f"position radius {r} outside observation disk radius {cfg.radius}")
+    return r, phi
 
 
 def _planewave_sum(angles: np.ndarray, gains: np.ndarray, kr: float, phi) -> np.ndarray:
@@ -248,9 +262,7 @@ def synth_field_planewave(s: ScattererSet, cfg: ChannelConfig, x: tuple[float, f
     sum_j g_j(omega) exp(i (omega/c) r cos(phi - phi_j)); omega must sit on
     the scatterer set's frequency grid.
     """
-    r, phi = x
-    if r > cfg.radius * (1.0 + 1e-12):
-        raise ValueError(f"position radius {r} outside observation disk radius {cfg.radius}")
+    r, phi = _check_position(cfg, x, omega)
     idx = _grid_index(s.freq_grid, omega)
     return complex(_planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * r, phi))
 
@@ -275,9 +287,7 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
     Warns when the stored orders fall short of the truncation rule for the
     evaluated argument.
     """
-    r, phi = x
-    if r > cfg.radius * (1.0 + 1e-12):
-        raise ValueError(f"position radius {r} outside observation disk radius {cfg.radius}")
+    r, phi = _check_position(cfg, x, omega)
     idx = _grid_index(ms.freq_grid, omega)
     z = omega * r / cfg.wave_speed
     # at z = 0 only order 0 contributes, so any stored range suffices

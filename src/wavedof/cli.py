@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .dofcore import DofReport, total_dof
 from .specfun import bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
 from .verify import TrialPlan, run_campaign
 
-__all__ = ["main", "RunManifest", "load_config_file"]
+__all__ = ["main", "load_config_file"]
 
 DEFAULT_CONFIG = {
     "f0": 1.5e9,
@@ -49,20 +48,6 @@ SWEEP_AXES = ("radius", "half_bw", "gamma", "obs_time")
 
 class CliError(Exception):
     """Invalid input; maps to exit code 2, as a ValueError does."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced an artifact: command, inputs, seed, format."""
-
-    command: str
-    config_source: str
-    out_dir: str
-    seed: int
-    format: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_config_file(path: str) -> dict:
@@ -107,9 +92,7 @@ def _resolve_config(args, file_vals: dict) -> ChannelConfig:
 
 def _resolve_plan(args, file_vals: dict) -> TrialPlan:
     # keys left unset take the TrialPlan defaults
-    plan = TrialPlan(seed=args.seed, **_given(args, file_vals, _PLAN_KEYS))
-    plan.require_statistical()
-    return plan
+    return TrialPlan(seed=args.seed, **_given(args, file_vals, _PLAN_KEYS))
 
 
 def _out_dir(args) -> Path:
@@ -121,27 +104,28 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(args, command: str) -> RunManifest:
-    return RunManifest(
-        command=command,
-        config_source=args.config if args.config else "flags+defaults",
-        out_dir=str(args.out),
-        seed=args.seed,
-        format=args.format,
-    )
+def _manifest(args, command: str) -> dict:
+    """What produced an artifact: command, inputs, seed, format."""
+    return {
+        "command": command,
+        "config_source": args.config if args.config else "flags+defaults",
+        "out_dir": str(args.out),
+        "seed": args.seed,
+        "format": args.format,
+    }
 
 
-def _json_artifact(manifest: RunManifest, payload: dict) -> str:
-    body = {"version": __version__, "manifest": manifest.to_dict(), **payload}
+def _json_artifact(manifest: dict, payload: dict) -> str:
+    body = {"version": __version__, "manifest": manifest, **payload}
     return json.dumps(body, indent=2, sort_keys=True)
 
 
-def _csv_comments(manifest: RunManifest, resolved: dict) -> list[str]:
+def _csv_comments(manifest: dict, resolved: dict) -> list[str]:
     resolved_line = " ".join(f"{k}={resolved[k]!r}" for k in sorted(resolved))
     return [
         f"# tool: wavedof {__version__}",
-        f"# command: {manifest.command}",
-        f"# seed: {manifest.seed}",
+        f"# command: {manifest['command']}",
+        f"# seed: {manifest['seed']}",
         f"# config: {resolved_line}",
         f"# generated: {datetime.now(timezone.utc).isoformat()}",
     ]
@@ -240,8 +224,8 @@ def cmd_tables(args, file_vals: dict) -> int:
         grid = np.linspace(-1.0, 1.0, args.samples)
         cols = {}
         for n in orders:
-            cols[f"t{n}"] = [chebyshev_first_kind(n, x) for x in grid]
-            cols[f"u{n}"] = [chebyshev_second_kind(n, x) for x in grid]
+            cols[f"t{n}"] = chebyshev_first_kind(n, grid)
+            cols[f"u{n}"] = chebyshev_second_kind(n, grid)
 
     names = list(cols)
     if args.format == "csv":

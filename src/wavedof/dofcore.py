@@ -119,8 +119,8 @@ def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
     2 pi f R / c < n.
     """
     n = abs(int(n))
-    if freq < 0.0:
-        raise ValueError(f"freq must be >= 0, got {freq}")
+    if not 0.0 <= freq < math.inf:
+        raise ValueError(f"freq must be finite and >= 0, got {freq}")
     s = snr_max(cfg)
     if s == 0.0:
         return SnrBound(-math.inf, 0.0)

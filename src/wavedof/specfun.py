@@ -144,39 +144,37 @@ def bessel_j(n: int, z: float) -> float:
     return float(bessel_j_table(n, float(z))[n])
 
 
-def _check_cheb_arg(n, z) -> None:
+def _chebyshev(n, z, first_step: float):
+    """Three-term recurrence P_{k+1} = 2z P_k - P_{k-1} from P_0 = 1, P_1 = first_step * z.
+
+    ``z`` is a scalar (float result) or an array (array result, elementwise).
+    """
+    n = int(n)
+    z_arr = np.asarray(z, dtype=float)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n > _MAX_ORDER:
         raise ValueError(f"degree must be <= {_MAX_ORDER}, got {n}")
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"Chebyshev polynomials are defined on [-1, 1], got {z}")
-
-
-def chebyshev_first_kind(n: int, z: float) -> float:
-    """T_n(z) = cos(n arccos z) by the three-term recurrence."""
-    n = int(n)
-    z = float(z)
-    _check_cheb_arg(n, z)
+    outside = ~(np.abs(z_arr) <= 1.0)
+    if outside.any():
+        raise ValueError(f"Chebyshev polynomials are defined on [-1, 1], got {z_arr[outside][0]}")
     if n == 0:
-        return 1.0
-    t_prev, t_cur = 1.0, z
+        return np.ones_like(z_arr) if z_arr.ndim else 1.0
+    z = z_arr if z_arr.ndim else float(z)
+    prev, cur = 1.0, first_step * z
     for _ in range(n - 1):
-        t_prev, t_cur = t_cur, 2.0 * z * t_cur - t_prev
-    return t_cur
+        prev, cur = cur, 2.0 * z * cur - prev
+    return cur
 
 
-def chebyshev_second_kind(n: int, z: float) -> float:
-    """U_n(z) by the recurrence U_0 = 1, U_1 = 2z, U_{k+1} = 2z U_k - U_{k-1}."""
-    n = int(n)
-    z = float(z)
-    _check_cheb_arg(n, z)
-    if n == 0:
-        return 1.0
-    u_prev, u_cur = 1.0, 2.0 * z
-    for _ in range(n - 1):
-        u_prev, u_cur = u_cur, 2.0 * z * u_cur - u_prev
-    return u_cur
+def chebyshev_first_kind(n: int, z):
+    """T_n(z) = cos(n arccos z) by the three-term recurrence; z scalar or array."""
+    return _chebyshev(n, z, 1.0)
+
+
+def chebyshev_second_kind(n: int, z):
+    """U_n(z) by the recurrence U_0 = 1, U_1 = 2z, U_{k+1} = 2z U_k - U_{k-1}; z scalar or array."""
+    return _chebyshev(n, z, 2.0)
 
 
 def stirling_gamma_lower(n: int) -> StirlingBound:

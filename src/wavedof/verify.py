@@ -37,7 +37,6 @@ __all__ = [
     "TrialPlan",
     "SnrEstimate",
     "CheckResult",
-    "TimeSupportGrid",
     "TimeSupportResult",
     "PowerBalance",
     "CampaignReport",
@@ -66,8 +65,11 @@ class TrialPlan:
     freq_samples: int = 257
 
     def __post_init__(self):
-        if self.num_trials < 1:
-            raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
+        if self.num_trials < _MIN_STATISTICAL_TRIALS:
+            raise ValueError(
+                f"statistical checks need num_trials >= {_MIN_STATISTICAL_TRIALS}, "
+                f"got {self.num_trials}"
+            )
         if self.n_probe < 0:
             raise ValueError(f"n_probe must be >= 0, got {self.n_probe}")
         if self.circle_samples < 2 * self.n_probe + 2:
@@ -77,13 +79,6 @@ class TrialPlan:
             )
         if self.freq_samples < 2:
             raise ValueError(f"freq_samples must be >= 2, got {self.freq_samples}")
-
-    def require_statistical(self):
-        if self.num_trials < _MIN_STATISTICAL_TRIALS:
-            raise ValueError(
-                f"statistical checks need num_trials >= {_MIN_STATISTICAL_TRIALS}, "
-                f"got {self.num_trials}"
-            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -145,7 +140,6 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     at its envelope p_max, so the estimate probes the detectability bound
     below the physical band as well as inside it.
     """
-    plan.require_statistical()
     if cfg.noise_var == 0.0:
         raise ValueError("empirical SNR is undefined for noise_var == 0")
     if not 0.0 < f_edge <= cfg.band_high * (1.0 + 1e-9):
@@ -179,7 +173,6 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
     multiple-comparison-adjusted threshold, with the (1, 2) pair reported
     as its own 3 sigma line.
     """
-    plan.require_statistical()
     orders = symmetric_orders(plan.n_probe)
     target = 2.0 * math.pi * cfg.noise_var
     results = []
@@ -246,46 +239,41 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
 class PowerBalance(NamedTuple):
     """Circle-averaged field power against the modal sum."""
 
-    residual: float          # relative
-    stderr: float            # relative, 0 in exact mode
+    residual: float          # relative, Monte Carlo
+    stderr: float            # relative
     estimate: float
     reference: float
+    tail: float              # relative truncation tail of sum_n J_n^2 = 1
 
 
-def power_balance_check(
-    plan: TrialPlan,
-    cfg: ChannelConfig,
-    omega: float,
-    num_scatterers: int = 16,
-    exact: bool = False,
-) -> PowerBalance:
+# scatterers per Monte Carlo trial of the power balance
+_POWER_BALANCE_SCATTERERS = 16
+
+
+def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float) -> PowerBalance:
     """Average power on the observation circle vs the per-order sum.
 
     The circle average of E|field|^2 must equal sum_n E|alpha_n|^2
-    J_n(omega R/c)^2 plus the node noise power.  With the expectation
-    substituted exactly (``exact``) the residual reduces to the truncation
-    tail of sum_n J_n^2 = 1; the Monte Carlo route estimates the left side
-    from synthesized fields.
+    J_n(omega R/c)^2 plus the node noise power.  The Monte Carlo residual
+    estimates the left side from synthesized fields; ``tail`` substitutes
+    the expectation exactly, which leaves the truncation tail of
+    sum_n J_n^2 = 1.
     """
     z = omega * cfg.radius / cfg.wave_speed
-    if z < 0.0:
-        raise ValueError(f"omega and radius must be nonnegative, got kr={z}")
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"omega and radius must be finite and nonnegative, got kr={z}")
     j_tab = bessel_j_table(_modal_order(z), z)
     modal_sum = cfg.p_max * (j_tab[0] ** 2 + 2.0 * np.sum(j_tab[1:] ** 2))
     m = plan.circle_samples
     noise_term = _node_noise_var(cfg, m)
     reference = modal_sum + noise_term
+    exact_ref = cfg.p_max + noise_term
+    tail = abs(exact_ref - reference) / max(exact_ref, 1e-300)
 
-    if exact:
-        exact_ref = cfg.p_max + noise_term
-        resid = abs(exact_ref - reference) / max(exact_ref, 1e-300)
-        return PowerBalance(residual=float(resid), stderr=0.0, estimate=float(exact_ref), reference=float(reference))
-
-    plan.require_statistical()
     rng = np.random.default_rng(plan.seed)
-    t = plan.num_trials
-    angles = rng.uniform(0.0, 2.0 * math.pi, (t, num_scatterers))
-    gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (t, num_scatterers))
+    t, j = plan.num_trials, _POWER_BALANCE_SCATTERERS
+    angles = rng.uniform(0.0, 2.0 * math.pi, (t, j))
+    gains = _complex_normal(rng, _gain_scale(cfg, j), (t, j))
     # (t, m) field samples on the circle, one scatterer set per trial
     values = _planewave_sum(angles[:, None, :], gains[:, None, :], z, _circle_nodes(m)[None, :, None])
     if cfg.noise_var > 0.0:
@@ -299,32 +287,21 @@ def power_balance_check(
         stderr=se / scale,
         estimate=est,
         reference=float(reference),
+        tail=float(tail),
     )
 
 
-@dataclass(frozen=True)
-class TimeSupportGrid:
-    """Resolution of the windowed inverse transform."""
-
-    kr_max: float = 200.0       # top of the band in units of kR
-    freq_samples: int = 2048
-    time_samples: int = 2048
-    pad: float = 4.0            # time axis extends to pad * R/c
-    delta: float = 0.05         # support margin for the leakage window
-
-    def __post_init__(self):
-        if self.kr_max <= 0.0 or self.pad <= 1.0 + self.delta:
-            raise ValueError("kr_max must be positive and pad must exceed 1 + delta")
-        if self.time_samples < 64 * self.pad:
-            raise ValueError(
-                f"time_samples={self.time_samples} leaves fewer than 64 samples "
-                f"inside the nominal support; need >= {math.ceil(64 * self.pad)}"
-            )
-        if self.freq_samples - 1 < 2.0 * self.kr_max * self.pad / math.pi:
-            raise ValueError(
-                f"freq_samples={self.freq_samples} cannot resolve oscillations at "
-                f"the time-axis edge; need > {1 + 2.0 * self.kr_max * self.pad / math.pi:.0f}"
-            )
+# Resolution of the windowed inverse transform.  The band runs to
+# kR = 200 and the time axis to pad * R/c; delta is the support margin of
+# the leakage window.  The values meet two conditions: at least 64 time
+# samples fall inside the nominal support (2048 >= 64 * pad), and the
+# frequency step resolves the kernel's oscillation at the time-axis edge
+# (2048 - 1 >= 2 * kR_max * pad / pi, about 509).
+_TS_KR_MAX = 200.0
+_TS_FREQ_SAMPLES = 2048
+_TS_TIME_SAMPLES = 2048
+_TS_PAD = 4.0
+_TS_DELTA = 0.05
 
 
 class TimeSupportResult(NamedTuple):
@@ -334,12 +311,7 @@ class TimeSupportResult(NamedTuple):
     energy: np.ndarray
 
 
-def time_support_check(
-    n: int,
-    radius: float,
-    cfg: ChannelConfig,
-    grid: TimeSupportGrid | None = None,
-) -> TimeSupportResult:
+def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupportResult:
     """Time support of the order-n receive kernel.
 
     Inverse-transforms a cosine-tapered J_n(omega r / c) over a wide band
@@ -353,25 +325,23 @@ def time_support_check(
     symmetrically keeps the leakage fraction comparable across orders,
     which turn on at different frequencies.
     """
-    if grid is None:
-        grid = TimeSupportGrid()
     if radius <= 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
     c = cfg.wave_speed
-    omega_max = grid.kr_max * c / radius
-    omega = np.linspace(0.0, omega_max, grid.freq_samples)
+    omega_max = _TS_KR_MAX * c / radius
+    omega = np.linspace(0.0, omega_max, _TS_FREQ_SAMPLES)
     window = 0.5 * (1.0 - np.cos(2.0 * math.pi * omega / omega_max))
     spectrum = window * bessel_j_table(abs(n), omega * radius / c)[:, -1]
 
     t_edge_nominal = radius / c
-    times = np.linspace(0.0, grid.pad * t_edge_nominal, grid.time_samples)
+    times = np.linspace(0.0, _TS_PAD * t_edge_nominal, _TS_TIME_SAMPLES)
     # even orders give a cosine transform, odd orders a sine transform
     phase = np.outer(times, omega)
     basis = np.cos(phase) if abs(n) % 2 == 0 else np.sin(phase)
     h = _trapezoid(basis * spectrum[None, :], omega, axis=1) / math.pi
     energy = h**2
 
-    inside = times <= (1.0 + grid.delta) * t_edge_nominal
+    inside = times <= (1.0 + _TS_DELTA) * t_edge_nominal
     total = float(_trapezoid(energy, times))
     if total == 0.0:
         raise ValueError("kernel energy vanished; widen the band")
@@ -391,7 +361,6 @@ def dof_prediction_check(cfg: ChannelConfig, plan: TrialPlan) -> list[CheckResul
     critical frequency sits below the band keep the whole band usable;
     orders at the truncation bound are undetectable across the band.
     """
-    plan.require_statistical()
     results = []
     n_up = truncation_order(cfg)
     gamma = cfg.gamma
@@ -462,7 +431,6 @@ class CampaignReport:
 
 def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     """Full verification pass: quadrature, noise, power, SNR, time support."""
-    plan.require_statistical()
     checks: list[CheckResult] = []
 
     resid = max(orthogonality_check(3, 3, plan.circle_samples),
@@ -485,11 +453,10 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
             "pass" if pb.residual <= tol else "fail", "circle power vs modal sum at f0",
         )
     )
-    pbx = power_balance_check(plan, cfg, omega_mid, exact=True)
     checks.append(
         CheckResult(
-            "power_balance_exact", pbx.residual, 0.0,
-            "pass" if pbx.residual < 1e-6 else "fail", "truncation tail of the modal sum",
+            "power_balance_exact", pb.tail, 0.0,
+            "pass" if pb.tail < 1e-6 else "fail", "truncation tail of the modal sum",
         )
     )
 

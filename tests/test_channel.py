@@ -223,6 +223,31 @@ class TestFieldSynthesis:
         with pytest.raises(ValueError, match="radius"):
             synth_field_modal(ms, cfg, (0.2, 0.0), omega)
 
+    @pytest.mark.parametrize("route", ["planewave", "modal"])
+    @pytest.mark.parametrize(
+        "r, phi, omega_shift, field",
+        [
+            (math.nan, 0.0, 0.0, "r"),
+            (math.inf, 0.0, 0.0, "r"),
+            (-0.01, 0.0, 0.0, "r"),
+            (0.05, math.nan, 0.0, "phi"),
+            (0.05, -math.inf, 0.0, "phi"),
+            (0.05, 0.0, math.nan, "omega"),
+            (0.05, 0.0, math.inf, "omega"),
+        ],
+    )
+    def test_nonfinite_or_negative_position_rejected(self, route, r, phi, omega_shift, field):
+        # both synthesis routes share one position check; no input may
+        # come back as a NaN field or land on grid index 0
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 5, 3, seed=SEED)
+        omega = 2 * math.pi * float(s.freq_grid[1]) + omega_shift
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            if route == "planewave":
+                synth_field_planewave(s, cfg, (r, phi), omega)
+            else:
+                synth_field_modal(modal_coefficients(s, 3), cfg, (r, phi), omega)
+
     def test_off_grid_frequency(self):
         cfg = base_cfg()
         s = make_scatterers(cfg, 5, 3, seed=SEED)

@@ -144,8 +144,9 @@ class TestSnrUpperBound:
         assert b.value == 0.0 and math.isinf(b.log_value)
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            snr_upper_bound(worked_cfg(), 1, -1.0)
+        for freq in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="freq"):
+                snr_upper_bound(worked_cfg(), 1, freq)
 
 
 class TestTruncationOrder:

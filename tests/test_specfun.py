@@ -349,6 +349,15 @@ class TestChebyshev:
             chebyshev_second_kind(3, -1.0001)
         with pytest.raises(ValueError):
             chebyshev_first_kind(-1, 0.5)
+        with pytest.raises(ValueError):
+            chebyshev_second_kind(3, np.array([0.5, 1.5]))
+
+    def test_array_matches_scalar(self):
+        grid = np.linspace(-1.0, 1.0, 201)
+        for kind in (chebyshev_first_kind, chebyshev_second_kind):
+            for n in (0, 1, 2, 5, 9, 40, 1000):
+                scalar = np.array([kind(n, float(x)) for x in grid])
+                assert kind(n, grid).tobytes() == scalar.tobytes()
 
     def test_degree_bound(self):
         assert chebyshev_first_kind(10_000, 1.0) == 1.0

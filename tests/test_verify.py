@@ -12,7 +12,6 @@ from wavedof.channel import ChannelConfig
 from wavedof.dofcore import snr_max, snr_upper_bound, truncation_order
 from wavedof.specfun import bessel_j_table
 from wavedof.verify import (
-    TimeSupportGrid,
     TrialPlan,
     dof_prediction_check,
     empirical_order_snr,
@@ -53,10 +52,9 @@ class TestTrialPlan:
             TrialPlan(freq_samples=1)
 
     def test_statistical_floor(self):
-        p = TrialPlan(num_trials=5)
-        with pytest.raises(ValueError, match="statistical"):
-            p.require_statistical()
-        plan().require_statistical()
+        with pytest.raises(ValueError, match="statistical checks need num_trials >= 100, got 99"):
+            TrialPlan(num_trials=99)
+        assert TrialPlan(num_trials=100).num_trials == 100
 
     def test_dict_round_trip(self):
         # the campaign artifact records the plan through to_dict()
@@ -198,10 +196,13 @@ class TestPowerBalance:
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_exact_mode_truncation_residual(self):
+        # one pass gives both the truncation tail and the noiseless
+        # Monte Carlo residual
         cfg = wide_cfg(noise_var=0.0, p_max=3.0)
-        pb = power_balance_check(plan(), cfg, 2 * math.pi * cfg.f0, exact=True)
-        assert pb.residual < 1e-6
-        assert pb.stderr == 0.0
+        pb = power_balance_check(plan(), cfg, 2 * math.pi * cfg.f0)
+        assert pb.tail < 1e-6
+        assert pb.stderr > 0.0
+        assert pb.residual <= 3.0 * pb.stderr
 
     def test_monte_carlo_with_noise(self):
         cfg = wide_cfg(p_max=4.0, noise_var=0.5)
@@ -213,10 +214,10 @@ class TestPowerBalance:
         pb = power_balance_check(plan(), cfg, 2 * math.pi * cfg.f0)
         assert pb.residual <= 3.0 * pb.stderr
 
-    def test_single_scatterer_noiseless(self):
-        cfg = wide_cfg(noise_var=0.0, p_max=2.0)
-        pb = power_balance_check(plan(), cfg, 2 * math.pi * cfg.f0, num_scatterers=1)
-        assert pb.residual <= 3.0 * pb.stderr + 1e-9
+    def test_nonfinite_or_negative_argument_rejected(self):
+        for omega in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega and radius"):
+                power_balance_check(plan(), wide_cfg(), omega)
 
     def test_deterministic(self):
         cfg = wide_cfg()
@@ -244,27 +245,10 @@ class TestTimeSupport:
         e2 = time_support_check(0, 2.0, cfg).edge_time
         assert e2 / e1 == pytest.approx(2.0, rel=0.05)
 
-    def test_leakage_falls_as_band_widens(self):
-        cfg = wide_cfg()
-        leaks = [
-            time_support_check(0, 1.0, cfg, TimeSupportGrid(kr_max=kr)).leakage
-            for kr in (50.0, 100.0, 200.0)
-        ]
-        assert leaks[1] < leaks[0]
-        assert leaks[2] < leaks[1]
-
     def test_order_invariance_within_factor_two(self):
         cfg = wide_cfg()
         leaks = [time_support_check(n, 1.0, cfg).leakage for n in (0, 1, 4, 8)]
         assert max(leaks) <= 2.0 * min(leaks)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="support"):
-            TimeSupportGrid(time_samples=100)
-        with pytest.raises(ValueError, match="resolve"):
-            TimeSupportGrid(freq_samples=64)
-        with pytest.raises(ValueError):
-            TimeSupportGrid(kr_max=-1.0)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
