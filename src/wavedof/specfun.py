@@ -6,8 +6,11 @@ a scalar or an array of arguments and gives each argument one rule.  z == 0
 gives the unit row, 0 < z <= 12 the ascending power series, and z > 12
 Miller's backward recurrence (normalized with J_0 + 2*sum_k J_{2k} = 1),
 which keeps the tiny pre-turn-on values of high orders accurate where a
-naive forward recurrence would explode.  ``bessel_j`` reads one entry of
-that table.
+naive forward recurrence would explode.  A regime with at least
+``_ARRAY_MIN_ARGS`` arguments in one call runs across them at once in
+numpy, with the same operations in the same order per argument, so both
+paths give the same bits; fewer arguments take the per-argument loop,
+which is faster for them.  ``bessel_j`` reads one entry of that table.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ _SERIES_Z_CUTOFF = 12.0
 # Series stops once a term falls below _SERIES_REL_TOL * 1e-4 of the
 # largest term.
 _SERIES_REL_TOL = 1e-10
+
+# A regime (series or recurrence) with at least this many arguments in one
+# call runs across them at once; fewer take the per-argument loop, which
+# is faster there.  Both give the same bits.
+_ARRAY_MIN_ARGS = 64
 
 
 class StirlingBound(NamedTuple):
@@ -92,12 +100,16 @@ def _series_table(n_max: int, z: float) -> list:
     return out
 
 
-def _miller_table(n_max: int, z: float) -> np.ndarray:
-    """J_0(z)..J_{n_max}(z) by backward recurrence with sum normalization."""
+def _miller_start(n_max: int, z: float) -> int:
+    """Even starting order of Miller's recurrence, far enough above n_max and z."""
     m0 = max(n_max, int(math.ceil(z)))
     start = m0 + 40 + int(math.ceil(math.sqrt(40.0 * m0)))
-    if start % 2:
-        start += 1
+    return start + start % 2
+
+
+def _miller_table(n_max: int, z: float) -> np.ndarray:
+    """J_0(z)..J_{n_max}(z) by backward recurrence with sum normalization."""
+    start = _miller_start(n_max, z)
     out = np.zeros(n_max + 1)
     j_up = 0.0        # trial J_{k+1}
     j_cur = 1e-300    # trial J_k at k = start
@@ -119,6 +131,80 @@ def _miller_table(n_max: int, z: float) -> np.ndarray:
     return out / norm
 
 
+def _series_rows(n_max: int, z: np.ndarray) -> np.ndarray:
+    """``_series_table`` at every argument of the 1-D array z at once, bitwise.
+
+    Each order carries the prefactor of every argument, runs the term
+    recurrence across the arguments whose prefactor is nonzero until each
+    has met its own stopping rule, and sums exactly the terms the scalar
+    code sums for that argument; ``math.fsum`` is correctly rounded, so the
+    same terms give the same bits.
+    """
+    zh = 0.5 * z
+    q = -(zh * zh)
+    out = np.zeros((z.size, n_max + 1))
+    pref = np.ones(z.size)
+    for n in range(n_max + 1):
+        if n:
+            pref *= zh / n
+        live = np.flatnonzero(pref)
+        if not live.size:
+            break
+        ql = q[live]
+        term = np.ones(live.size)
+        terms = [term]
+        peak = term
+        last = np.full(live.size, -1)   # index of each argument's final term
+        m = 0
+        while (last < 0).any():
+            m += 1
+            term = term * ql / (m * (n + m))
+            terms.append(term)
+            peak = np.maximum(peak, np.abs(term))
+            done = (np.abs(term) <= _SERIES_REL_TOL * 1e-4 * peak) & (m * (n + m) > -ql) & (last < 0)
+            last[done] = m
+        table = np.stack(terms, axis=1).tolist()
+        sums = [math.fsum(row[: k + 1]) for row, k in zip(table, last.tolist())]
+        out[live, n] = pref[live] * np.array(sums)
+    return out
+
+
+def _miller_rows(n_max: int, z: np.ndarray) -> np.ndarray:
+    """``_miller_table`` at every argument of the 1-D array z at once, bitwise.
+
+    Arguments are sorted by their starting order, so at step k the ones
+    whose recurrence has begun form a prefix; each step updates that
+    prefix, and the 1e-250 rescale touches only the arguments that need it.
+    """
+    starts = np.array([_miller_start(n_max, zk) for zk in z.tolist()])
+    order = np.argsort(-starts, kind="stable")
+    zs, starts = z[order], starts[order]
+    out = np.zeros((z.size, n_max + 1))
+    j_up = np.zeros(z.size)
+    j_cur = np.full(z.size, 1e-300)
+    norm = np.zeros(z.size)
+    begun = np.searchsorted(-starts, -np.arange(starts[0] + 1), side="right")
+    for k in range(int(starts[0]), 0, -1):
+        p = begun[k]
+        j_down = (2.0 * k / zs[:p]) * j_cur[:p] - j_up[:p]
+        j_up[:p] = j_cur[:p]
+        j_cur[:p] = j_down
+        idx = k - 1
+        if idx <= n_max:
+            out[:p, idx] = j_down
+        if idx % 2 == 0:
+            norm[:p] += j_down if idx == 0 else 2.0 * j_down
+        big = np.flatnonzero(np.abs(j_down) > 1e250)
+        if big.size:
+            j_cur[big] *= 1e-250
+            j_up[big] *= 1e-250
+            norm[big] *= 1e-250
+            out[big] *= 1e-250
+    rows = np.empty_like(out)
+    rows[order] = out / norm[:, None]
+    return rows
+
+
 def bessel_j_table(n_max: int, z) -> np.ndarray:
     """J_0(z)..J_{n_max}(z) at every argument of z, shape z.shape + (n_max + 1,).
 
@@ -128,13 +214,20 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     _check_order_arg(n_max, z)
     out = np.zeros(z.shape + (n_max + 1,))
-    for row, zk in zip(out.reshape(-1, n_max + 1), z.ravel().tolist()):
+    rows = out.reshape(-1, n_max + 1)
+    args = z.ravel().tolist()
+    series, miller = [], []
+    for i, zk in enumerate(args):
         if zk == 0.0:
-            row[0] = 1.0
-        elif zk <= _SERIES_Z_CUTOFF:
-            row[:] = _series_table(n_max, zk)
+            rows[i, 0] = 1.0
         else:
-            row[:] = _miller_table(n_max, zk)
+            (series if zk <= _SERIES_Z_CUTOFF else miller).append(i)
+    for idx, table, array_rows in ((series, _series_table, _series_rows), (miller, _miller_table, _miller_rows)):
+        if len(idx) >= _ARRAY_MIN_ARGS:
+            rows[idx] = array_rows(n_max, np.array([args[i] for i in idx]))
+        else:
+            for i in idx:
+                rows[i] = table(n_max, args[i])
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +52,11 @@ __all__ = [
 
 _MIN_STATISTICAL_TRIALS = 100
 
+# Bound on the largest array a plan makes, in complex cells: trials (or
+# probed orders) by circle nodes (or frequency samples).  2^24 cells is
+# 256 MB per array, 32x the default plan.
+_MAX_PLAN_CELLS = 2**24
+
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -65,6 +71,12 @@ class TrialPlan:
     freq_samples: int = 257
 
     def __post_init__(self):
+        for name in ("num_trials", "circle_samples", "seed", "n_probe", "freq_samples"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.num_trials < _MIN_STATISTICAL_TRIALS:
             raise ValueError(
                 f"statistical checks need num_trials >= {_MIN_STATISTICAL_TRIALS}, "
@@ -79,6 +91,13 @@ class TrialPlan:
             )
         if self.freq_samples < 2:
             raise ValueError(f"freq_samples must be >= 2, got {self.freq_samples}")
+        rows = max(self.num_trials, 2 * self.n_probe + 1)
+        cols = max(self.circle_samples, self.freq_samples)
+        if rows * cols > _MAX_PLAN_CELLS:
+            raise ValueError(
+                f"max(num_trials, 2*n_probe+1) * max(circle_samples, freq_samples) must be "
+                f"<= {_MAX_PLAN_CELLS} cells, got {rows} * {cols} = {rows * cols}"
+            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -249,6 +268,11 @@ class PowerBalance(NamedTuple):
 # scatterers per Monte Carlo trial of the power balance
 _POWER_BALANCE_SCATTERERS = 16
 
+# Trials synthesized at once by the power balance.  At the default 64
+# nodes a (64, 64, 16) complex block is 1 MB and stays in cache, where the
+# whole (trials, nodes, scatterers) array was 33 MB.
+_PB_CHUNK_TRIALS = 64
+
 
 def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float) -> PowerBalance:
     """Average power on the observation circle vs the per-order sum.
@@ -274,11 +298,16 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float) -> Po
     t, j = plan.num_trials, _POWER_BALANCE_SCATTERERS
     angles = rng.uniform(0.0, 2.0 * math.pi, (t, j))
     gains = _complex_normal(rng, _gain_scale(cfg, j), (t, j))
-    # (t, m) field samples on the circle, one scatterer set per trial
-    values = _planewave_sum(angles[:, None, :], gains[:, None, :], z, _circle_nodes(m)[None, :, None])
-    if cfg.noise_var > 0.0:
-        values = values + _white_circle_noise(cfg, rng, (t, m))
-    per_trial = np.mean(np.abs(values) ** 2, axis=1)
+    noise = _white_circle_noise(cfg, rng, (t, m)) if cfg.noise_var > 0.0 else None
+    nodes = _circle_nodes(m)[None, :, None]
+    per_trial = np.empty(t)
+    for lo in range(0, t, _PB_CHUNK_TRIALS):
+        rows = slice(lo, lo + _PB_CHUNK_TRIALS)
+        # (chunk, m) field samples on the circle, one scatterer set per trial
+        values = _planewave_sum(angles[rows, None, :], gains[rows, None, :], z, nodes)
+        if noise is not None:
+            values = values + noise[rows]
+        per_trial[rows] = np.mean(np.abs(values) ** 2, axis=1)
     est = float(per_trial.mean())
     se = float(per_trial.std() / math.sqrt(t))
     scale = max(reference, 1e-300)
@@ -303,6 +332,10 @@ _TS_TIME_SAMPLES = 2048
 _TS_PAD = 4.0
 _TS_DELTA = 0.05
 
+# Time rows of the transform evaluated at once: a (64, 2048) block is
+# 1 MB, where the whole (2048, 2048) matrix was 32 MB.
+_TS_BLOCK_ROWS = 64
+
 
 class TimeSupportResult(NamedTuple):
     leakage: float          # energy fraction outside |t| <= (1 + delta) R/c
@@ -325,6 +358,10 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
     symmetrically keeps the leakage fraction comparable across orders,
     which turn on at different frequencies.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {n!r}") from None
     if radius <= 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
     c = cfg.wave_speed
@@ -335,10 +372,14 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
 
     t_edge_nominal = radius / c
     times = np.linspace(0.0, _TS_PAD * t_edge_nominal, _TS_TIME_SAMPLES)
-    # even orders give a cosine transform, odd orders a sine transform
-    phase = np.outer(times, omega)
-    basis = np.cos(phase) if abs(n) % 2 == 0 else np.sin(phase)
-    h = _trapezoid(basis * spectrum[None, :], omega, axis=1) / math.pi
+    # even orders give a cosine transform, odd orders a sine transform,
+    # taken over blocks of time rows so no (times, omega) matrix is whole
+    basis = np.cos if abs(n) % 2 == 0 else np.sin
+    h = np.empty(times.size)
+    for lo in range(0, times.size, _TS_BLOCK_ROWS):
+        rows = slice(lo, lo + _TS_BLOCK_ROWS)
+        h[rows] = _trapezoid(basis(np.outer(times[rows], omega)) * spectrum[None, :], omega, axis=1)
+    h /= math.pi
     energy = h**2
 
     inside = times <= (1.0 + _TS_DELTA) * t_edge_nominal

@@ -161,6 +161,8 @@ class TestRejectedInputs:
             (["simulate"], "seed = 1e400\n", "cfg.txt:2: seed"),
             (["tables", "--kind", "bessel", "--orders", "0", "--z-max", "1e8"], None, "<= 100000"),
             (["tables", "--kind", "chebyshev", "--orders", "100000000"], None, "<= 10000"),
+            (["simulate", "--num-trials", "10000000"], None, "<= 16777216 cells"),
+            (["simulate", "--num-trials", "100", "--circle-samples", "200000"], None, "circle_samples"),
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, config, named):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavedof import specfun
 from wavedof.specfun import (
     bessel_j,
     bessel_j_table,
@@ -127,7 +128,35 @@ def old_table(n_max, z):
 _special_z = st.sampled_from(
     [0.0, 5e-324, 1e-310, 1e-300, 12.0, math.nextafter(12.0, 0.0), math.nextafter(12.0, 13.0)]
 )
-_any_z = st.one_of(_special_z, st.floats(0.0, 12.0), st.floats(12.0, 300.0))
+_series_z = st.one_of(_special_z, st.floats(0.0, 12.0))
+_miller_z = st.floats(12.0, 300.0)
+_any_z = st.one_of(_series_z, _miller_z)
+
+# arrays on both sides of the per-regime argument count at which the kernel
+# switches from its per-argument loop to its array path
+_THRESHOLD = specfun._ARRAY_MIN_ARGS
+_args_either_side = dict(min_size=_THRESHOLD - 3, max_size=2 * _THRESHOLD + 3)
+
+
+@st.composite
+def _table_cases(draw):
+    """(n_max, z): scalars and short lists, or arrays across the dispatch threshold."""
+    z = draw(
+        st.one_of(
+            _any_z,
+            st.lists(_any_z, min_size=0, max_size=6),
+            st.lists(_any_z, min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
+            st.lists(_series_z, **_args_either_side),
+            st.lists(_miller_z, **_args_either_side),
+            st.lists(_any_z, **_args_either_side),
+            st.lists(_any_z, min_size=2 * _THRESHOLD + 2, max_size=2 * _THRESHOLD + 2).map(
+                lambda v: np.reshape(v, (2, _THRESHOLD + 1))
+            ),
+        )
+    )
+    # the oracle's series costs O(n_max^2) per argument, so long arrays
+    # take lower orders
+    return draw(st.integers(0, 120 if np.size(z) <= 6 else 40)), z
 
 
 # frozen oracle outputs (60-digit series, rounded to double)
@@ -239,19 +268,24 @@ class TestBesselInvariants:
 
 class TestBesselKernel:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        n_max=st.integers(0, 120),
-        z=st.one_of(
-            _any_z,
-            st.lists(_any_z, min_size=0, max_size=6),
-            st.lists(_any_z, min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
-        ),
-    )
-    def test_bitwise_equal_to_per_argument_oracle(self, n_max, z):
+    @given(case=_table_cases())
+    def test_bitwise_equal_to_per_argument_oracle(self, case):
+        n_max, z = case
         got = bessel_j_table(n_max, z)
         want = old_table(n_max, z)
         assert got.shape == np.shape(z) + (n_max + 1,)
         assert got.tobytes() == want.tobytes()
+
+    def test_array_path_rescale_and_underflow(self):
+        # high orders just above the cutoff drive the recurrence through its
+        # 1e-250 rescale, and tiny series arguments underflow the prefactor
+        # long before n_max
+        rng = np.random.default_rng(SEED + 4)
+        for n_max, z in (
+            (300, rng.uniform(12.0, 14.0, _THRESHOLD)),
+            (150, np.geomspace(1e-300, 1e-3, _THRESHOLD)),
+        ):
+            assert bessel_j_table(n_max, z).tobytes() == old_table(n_max, z).tobytes()
 
     def test_scalar_reads_the_table(self):
         for n, z in ((0, 0.0), (7, 3.5), (40, 12.0), (60, 40.0)):

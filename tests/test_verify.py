@@ -4,11 +4,22 @@ end-to-end detectability audit."""
 
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wavedof.channel import ChannelConfig
+from wavedof import specfun, verify
+from wavedof.channel import (
+    ChannelConfig,
+    _circle_nodes,
+    _complex_normal,
+    _gain_scale,
+    _planewave_sum,
+    _white_circle_noise,
+)
+from wavedof.cli import DEFAULT_CONFIG
 from wavedof.dofcore import snr_max, snr_upper_bound, truncation_order
 from wavedof.specfun import bessel_j_table
 from wavedof.verify import (
@@ -42,6 +53,48 @@ def plan(**kw):
     return TrialPlan(**d)
 
 
+def dense_time_support(n, radius, cfg):
+    """The time-support transform as one dense (times, omega) matrix: the oracle of the blocked one."""
+    c = cfg.wave_speed
+    omega_max = verify._TS_KR_MAX * c / radius
+    omega = np.linspace(0.0, omega_max, verify._TS_FREQ_SAMPLES)
+    window = 0.5 * (1.0 - np.cos(2.0 * math.pi * omega / omega_max))
+    spectrum = window * bessel_j_table(abs(n), omega * radius / c)[:, -1]
+    times = np.linspace(0.0, verify._TS_PAD * radius / c, verify._TS_TIME_SAMPLES)
+    phase = np.outer(times, omega)
+    basis = np.cos(phase) if abs(n) % 2 == 0 else np.sin(phase)
+    h = verify._trapezoid(basis * spectrum[None, :], omega, axis=1) / math.pi
+    return times, h**2
+
+
+def whole_power_balance(p, cfg, omega):
+    """The power balance synthesizing every trial at once: the oracle of the chunked one."""
+    z = omega * cfg.radius / cfg.wave_speed
+    j_tab = bessel_j_table(int(math.ceil(math.e * z / 2.0)) + 12, z)
+    modal_sum = cfg.p_max * (j_tab[0] ** 2 + 2.0 * np.sum(j_tab[1:] ** 2))
+    m = p.circle_samples
+    noise_term = cfg.noise_var * m / (2.0 * math.pi)
+    reference = modal_sum + noise_term
+    exact_ref = cfg.p_max + noise_term
+    rng = np.random.default_rng(p.seed)
+    t, j = p.num_trials, 16
+    angles = rng.uniform(0.0, 2.0 * math.pi, (t, j))
+    gains = _complex_normal(rng, _gain_scale(cfg, j), (t, j))
+    values = _planewave_sum(angles[:, None, :], gains[:, None, :], z, _circle_nodes(m)[None, :, None])
+    if cfg.noise_var > 0.0:
+        values = values + _white_circle_noise(cfg, rng, (t, m))
+    per_trial = np.mean(np.abs(values) ** 2, axis=1)
+    est = float(per_trial.mean())
+    scale = max(reference, 1e-300)
+    return verify.PowerBalance(
+        residual=abs(est - reference) / scale,
+        stderr=float(per_trial.std() / math.sqrt(t)) / scale,
+        estimate=est,
+        reference=float(reference),
+        tail=float(abs(exact_ref - reference) / max(exact_ref, 1e-300)),
+    )
+
+
 class TestTrialPlan:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -60,6 +113,37 @@ class TestTrialPlan:
         # the campaign artifact records the plan through to_dict()
         p = plan()
         assert TrialPlan(**p.to_dict()) == p
+
+    @pytest.mark.parametrize("field", ["num_trials", "circle_samples", "seed", "n_probe", "freq_samples"])
+    @pytest.mark.parametrize("value", [150.5, 200.0, "200", None])
+    def test_integers_required(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrialPlan(**{field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        p = TrialPlan(num_trials=np.int64(300), seed=np.uint32(5))
+        assert type(p.num_trials) is int and type(p.seed) is int
+        assert json.loads(json.dumps(p.to_dict()))["num_trials"] == 300
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(num_trials=10_000_000),
+            dict(num_trials=100, circle_samples=200_000),
+            dict(num_trials=100, freq_samples=200_000),
+            dict(num_trials=100, circle_samples=60_000, n_probe=29_000),
+        ],
+    )
+    def test_size_bound(self, kw):
+        # rejected when built: none of these plans is ever run
+        with pytest.raises(ValueError, match=f"<= {2**24} cells"):
+            TrialPlan(**kw)
+
+    def test_size_bound_edge(self):
+        cols = 257
+        assert TrialPlan(num_trials=2**24 // cols).num_trials == 2**24 // cols
+        with pytest.raises(ValueError, match="num_trials"):
+            TrialPlan(num_trials=2**24 // cols + 1)
 
 
 class TestOrthogonality:
@@ -225,6 +309,15 @@ class TestPowerBalance:
         b = power_balance_check(plan(), cfg, 2 * math.pi * cfg.f0)
         assert a == b
 
+    @pytest.mark.parametrize("noise_var", [0.0, 0.7])
+    def test_chunks_bitwise_equal_to_whole_synthesis(self, noise_var):
+        cfg = wide_cfg(noise_var=noise_var, p_max=3.0)
+        p = plan(num_trials=3 * verify._PB_CHUNK_TRIALS + 17)
+        got = power_balance_check(p, cfg, 2 * math.pi * cfg.f0)
+        want = whole_power_balance(p, cfg, 2 * math.pi * cfg.f0)
+        assert got.estimate == want.estimate and got.stderr == want.stderr
+        assert got == want
+
 
 class TestTimeSupport:
     def test_leakage_small_at_default_band(self):
@@ -253,6 +346,48 @@ class TestTimeSupport:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             time_support_check(0, 0.0, wide_cfg())
+
+    @pytest.mark.parametrize("n", [0.5, 2.0, math.nan])
+    def test_non_integer_order_rejected(self, n):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            time_support_check(n, 0.1, wide_cfg())
+
+    @pytest.mark.parametrize("radius", [0.1, 0.37])
+    @pytest.mark.parametrize("n", [0, 1, 4, 8])
+    def test_blocks_bitwise_equal_to_dense_transform(self, n, radius):
+        cfg = wide_cfg()
+        got = time_support_check(n, radius, cfg)
+        times, energy = dense_time_support(n, radius, cfg)
+        assert got.times.tobytes() == times.tobytes()
+        assert got.energy.tobytes() == energy.tobytes()
+
+
+class TestBlockedStages:
+    """The block and chunk sizes leave every byte and bound the working set."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_campaign_bytes_at_whole_array_and_scalar_limits(self, monkeypatch, seed):
+        cfg, p = ChannelConfig(**DEFAULT_CONFIG), TrialPlan(seed=seed)
+        shipped = json.dumps(run_campaign(cfg, p).to_dict())
+        monkeypatch.setattr(verify, "_TS_BLOCK_ROWS", sys.maxsize)
+        monkeypatch.setattr(verify, "_PB_CHUNK_TRIALS", sys.maxsize)
+        monkeypatch.setattr(specfun, "_ARRAY_MIN_ARGS", sys.maxsize)
+        assert json.dumps(run_campaign(cfg, p).to_dict()) == shipped
+
+    @pytest.mark.parametrize("stage", ["time_support", "power_balance"])
+    def test_peak_memory_at_defaults(self, stage):
+        cfg, p = ChannelConfig(**DEFAULT_CONFIG), TrialPlan()
+        run = {
+            "time_support": lambda: time_support_check(0, cfg.radius, cfg),
+            "power_balance": lambda: power_balance_check(p, cfg, 2 * math.pi * cfg.f0),
+        }[stage]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestDofPrediction:
