@@ -14,7 +14,10 @@ Exit codes: 0 success, 2 invalid input, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -115,9 +118,57 @@ def _manifest(args, command: str) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """``path`` opened to write an artifact over its old bytes, cut to the new length at the end.
+
+    Truncating a file to zero before writing it again makes ext4 flush it
+    at close and wait for the write-back of its old pages, milliseconds of
+    blocked time per file when the same --out is written again; writing
+    over the old bytes leaves the pages to the kernel's background
+    write-back.  The file ends with exactly the bytes written, as with "w".
+    """
+    # open's own "w" flags, less O_TRUNC
+    with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+        try:
+            yield f
+        finally:
+            f.truncate()
+
+
+def _write_artifact(path: Path, text: str) -> None:
+    with _artifact(path) as f:
+        f.write(text)
+
+
 def _json_artifact(manifest: dict, payload: dict) -> str:
     body = {"version": __version__, "manifest": manifest, **payload}
     return json.dumps(body, indent=2, sort_keys=True)
+
+
+# Stands for the rows when the rest of dof_report.json is dumped.  It is
+# matched together with its key, and a JSON string escapes every quote it
+# holds, so no user text (an --out path, say) can match it.
+_ROWS_PLACEHOLDER = "@rows"
+
+
+def _write_report_json(path: Path, manifest: dict, payload: dict, report: DofReport) -> None:
+    """The artifact of ``payload``, whose rows placeholder becomes the report's rows.
+
+    The rows are written block by block from the columns, spelled as
+    json.dumps(indent=2, sort_keys=True) spells them.
+    """
+    head, _, tail = _json_artifact(manifest, payload).partition(f'"per_order": "{_ROWS_PLACEHOLDER}"')
+    ind = head[head.rfind("\n") + 1:]
+    row = (f",\n{ind}  {{\n{ind}    \"dof\": %r,\n{ind}    \"f_crit\": %r,\n"
+           f"{ind}    \"n\": %d,\n{ind}    \"w_eff\": %r\n{ind}  }}")
+    # only f_crit can be inf, which JSON spells Infinity; no key holds "inf"
+    blocks = (b.replace("inf", "Infinity") for b in report.format_rows(row, ("dof", "f_crit", "n", "w_eff")))
+    with _artifact(path) as f:
+        # the first row's leading comma opens the list instead
+        f.write(head + '"per_order": [' + next(blocks)[1:])
+        f.writelines(blocks)
+        f.write(f"\n{ind}]" + tail + "\n")
 
 
 def _csv_comments(manifest: dict, resolved: dict) -> list[str]:
@@ -137,14 +188,16 @@ def cmd_analyze(args, file_vals: dict) -> int:
     report = total_dof(cfg)
     out = _out_dir(args)
 
+    config = cfg.to_dict()
     json_path = out / "dof_report.json"
-    json_path.write_text(
-        _json_artifact(manifest, {"seed": args.seed, "config": cfg.to_dict(), "report": report.to_dict()})
-        + "\n"
-    )
+    body = {"config": config, "t_eff": report.t_eff, "n_upper": report.n_upper,
+            "per_order": _ROWS_PLACEHOLDER, "total": report.total}
+    _write_report_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body}, report)
     csv_path = out / "dof_report.csv"
-    comments = _csv_comments(manifest, cfg.to_dict())
-    csv_path.write_text("\n".join(comments) + "\n" + report.to_csv())
+    comments = _csv_comments(manifest, config)
+    with _artifact(csv_path) as f:
+        f.write("\n".join(comments) + "\n")
+        f.writelines(report.csv_blocks())
 
     print(
         f"n_upper={report.n_upper} t_eff={report.t_eff:.9g} s total_dof={report.total:.9g}"
@@ -177,7 +230,7 @@ def cmd_sweep(args, file_vals: dict) -> int:
         lines.append(f"{args.axis},n_upper,t_eff_s,total_dof")
         for v, n_up, t_eff, total in rows:
             lines.append(f"{v:.9g},{n_up:d},{t_eff:.9g},{total:.9g}")
-        path.write_text("\n".join(lines) + "\n")
+        _write_artifact(path, "\n".join(lines) + "\n")
     else:
         path = out / f"sweep_{args.axis}.json"
         payload = {
@@ -188,7 +241,7 @@ def cmd_sweep(args, file_vals: dict) -> int:
               {"value": v, "n_upper": n, "t_eff": t, "total_dof": d} for v, n, t, d in rows
             ],
         }
-        path.write_text(_json_artifact(manifest, payload) + "\n")
+        _write_artifact(path, _json_artifact(manifest, payload) + "\n")
     print(f"wrote {len(rows)} sweep rows to {path}")
     return 0
 
@@ -196,7 +249,7 @@ def cmd_sweep(args, file_vals: dict) -> int:
 def cmd_simulate(args, file_vals: dict) -> int:
     report = run_campaign(_resolve_config(args, file_vals), _resolve_plan(args, file_vals))
     path = _out_dir(args) / "verification.json"
-    path.write_text(_json_artifact(_manifest(args, "simulate"), report.to_dict()) + "\n")
+    _write_artifact(path, _json_artifact(_manifest(args, "simulate"), report.to_dict()) + "\n")
     print(report.summary_table())
     print(f"wrote {path}")
     return 0 if report.passed else 3
@@ -234,7 +287,7 @@ def cmd_tables(args, file_vals: dict) -> int:
         lines.append("z," + ",".join(names))
         for i, z in enumerate(grid):
             lines.append(f"{z:.9g}," + ",".join(f"{cols[c][i]:.9g}" for c in names))
-        path.write_text("\n".join(lines) + "\n")
+        _write_artifact(path, "\n".join(lines) + "\n")
     else:
         path = out / f"tables_{args.kind}.json"
         payload = {
@@ -243,11 +296,12 @@ def cmd_tables(args, file_vals: dict) -> int:
             "z": [float(z) for z in grid],
             "columns": {c: [float(v) for v in cols[c]] for c in names},
         }
-        path.write_text(_json_artifact(manifest, payload) + "\n")
+        _write_artifact(path, _json_artifact(manifest, payload) + "\n")
     print(f"wrote {path}")
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavedof",

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,13 @@ __all__ = [
 
 _E_PI = math.e * math.pi
 
-# Bound on the truncation order N_u; a budget builds all 2 N_u - 1 rows.
+# Bound on the truncation order N_u; a budget holds 2 N_u - 1 rows of columns.
 _MAX_ORDER = 10_000_000
+
+# Orders formatted at once when a report is written as text.  One block's
+# text and the Python numbers it is formatted from take a few MB, so the
+# writers need the columns plus one block however large N_u is.
+_ROW_BLOCK = 8192
 
 
 class SnrBound(NamedTuple):
@@ -176,45 +182,50 @@ def total_dof(cfg: ChannelConfig) -> "DofReport":
 
     Each order |n| < truncation_order contributes w_eff * t_eff + 1; the
     +1 is the residual dimension an order keeps even with vanishing
-    usable band.
+    usable band.  A budget whose rows or total overflow is rejected.
     """
     n_up = truncation_order(cfg)
     t_eff = effective_time(cfg)
     n = np.arange(-(n_up - 1), n_up)
     f_crit = _f_crit(cfg, np.abs(n))
     w_eff = _usable_band(cfg, n, f_crit)
-    dof = (w_eff * t_eff + 1.0).tolist()
-    return DofReport(
-        config=cfg,
-        t_eff=t_eff,
-        n_upper=n_up,
-        per_order=tuple(map(OrderBudget, n.tolist(), f_crit.tolist(), w_eff.tolist(), dof)),
-        total=float(sum(dof)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        dof = w_eff * t_eff + 1.0
+        # left to right, as Python 3.11's sum(); 3.12+ sum() compensates
+        total = float(np.add.accumulate(dof)[-1])
+    # every dof is >= 1 or NaN, so a finite total means every row is finite
+    if not math.isfinite(total):
+        raise ValueError(
+            "budget overflows: W_n * T_eff + 1 and its sum over orders must be finite; reduce obs_time, radius or the band"
+        )
+    return DofReport(config=cfg, t_eff=t_eff, n_upper=n_up, n=n, f_crit=f_crit, w_eff=w_eff, dof=dof, total=total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofReport:
-    """Evaluated budget: per-order rows plus the totals they sum to."""
+    """Evaluated budget: one column per row field over orders -(N_u - 1)..N_u - 1, and their total."""
 
     config: ChannelConfig
     t_eff: float
     n_upper: int
-    per_order: tuple
+    n: np.ndarray
+    f_crit: np.ndarray
+    w_eff: np.ndarray
+    dof: np.ndarray
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "t_eff": self.t_eff,
-            "n_upper": self.n_upper,
-            "per_order": [r._asdict() for r in self.per_order],
-            "total": self.total,
-        }
+    @property
+    def per_order(self) -> tuple:
+        """The rows as OrderBudget tuples, built from the columns at each access."""
+        return tuple(map(OrderBudget, self.n.tolist(), self.f_crit.tolist(), self.w_eff.tolist(), self.dof.tolist()))
 
-    def to_csv(self) -> str:
+    def format_rows(self, row: str, columns: tuple) -> Iterator[str]:
+        """``row`` %-formatted with the named columns once per order, in blocks of orders."""
+        for lo in range(0, self.n.size, _ROW_BLOCK):
+            cols = [getattr(self, c)[lo:lo + _ROW_BLOCK].tolist() for c in columns]
+            yield (row * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
+
+    def csv_blocks(self) -> Iterator[str]:
         """Per-order table; column order n, f_crit_hz, w_eff_hz, dof."""
-        lines = ["n,f_crit_hz,w_eff_hz,dof"]
-        for r in self.per_order:
-            lines.append(f"{r.n:d},{r.f_crit:.9g},{r.w_eff:.9g},{r.dof:.9g}")
-        return "\n".join(lines) + "\n"
+        yield "n,f_crit_hz,w_eff_hz,dof\n"
+        yield from self.format_rows("%d,%.9g,%.9g,%.9g\n", ("n", "f_crit", "w_eff", "dof"))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -208,9 +209,12 @@ def _miller_rows(n_max: int, z: np.ndarray) -> np.ndarray:
 def bessel_j_table(n_max: int, z) -> np.ndarray:
     """J_0(z)..J_{n_max}(z) at every argument of z, shape z.shape + (n_max + 1,).
 
-    Domain: 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an array.
+    Domain: integer 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an array.
     """
-    n_max = int(n_max)
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {n_max!r}") from None
     z = np.asarray(z, dtype=float)
     _check_order_arg(n_max, z)
     out = np.zeros(z.shape + (n_max + 1,))
@@ -233,7 +237,6 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
 
 def bessel_j(n: int, z: float) -> float:
     """Bessel function of the first kind J_n(z) for integer n >= 0, z >= 0."""
-    n = int(n)
     return float(bessel_j_table(n, float(z))[n])
 
 

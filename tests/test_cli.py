@@ -1,11 +1,17 @@
 """Command line interface: exit codes, artifacts, reproducibility."""
 
 import json
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from wavedof import __version__
+from wavedof import __version__, cli, dofcore
+from wavedof.channel import ChannelConfig
 from wavedof.cli import load_config_file, main
 
 WORKED = [
@@ -70,6 +76,18 @@ class TestAnalyze:
         assert (out / "dof_report.json").read_bytes() == first_json
         strip = lambda text: [l for l in text.split("\n") if not l.startswith("# generated")]
         assert strip((out / "dof_report.csv").read_text()) == strip(first_csv)
+
+    def test_rewrite_over_longer_artifacts(self, tmp_path):
+        # artifacts are written over their old bytes; a shorter one must not keep the old tail
+        strip = lambda text: [l for l in text.split("\n") if not l.startswith("# generated")]
+        main(["analyze", *WORKED, "--out", str(tmp_path)])
+        first_json = (tmp_path / "dof_report.json").read_bytes()
+        first_csv = (tmp_path / "dof_report.csv").read_text()
+        main(["analyze", *WORKED[:4], "--radius", "3", *WORKED[6:], "--out", str(tmp_path)])
+        assert len((tmp_path / "dof_report.json").read_bytes()) > 10 * len(first_json)
+        main(["analyze", *WORKED, "--out", str(tmp_path)])
+        assert (tmp_path / "dof_report.json").read_bytes() == first_json
+        assert strip((tmp_path / "dof_report.csv").read_text()) == strip(first_csv)
 
     def test_invalid_band_exits_2_naming_field(self, tmp_path, capsys):
         code = main(["analyze", "--f0", "1e9", "--half-bw", "2e9", "--out", str(tmp_path)])
@@ -163,6 +181,7 @@ class TestRejectedInputs:
             (["tables", "--kind", "chebyshev", "--orders", "100000000"], None, "<= 10000"),
             (["simulate", "--num-trials", "10000000"], None, "<= 16777216 cells"),
             (["simulate", "--num-trials", "100", "--circle-samples", "200000"], None, "circle_samples"),
+            (["analyze", "--obs-time", "1e300"], None, "W_n * T_eff + 1"),
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, config, named):
@@ -371,6 +390,9 @@ class TestTables:
 
 
 class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -381,3 +403,115 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+# The report writers before the budget became columnar, kept as the byte
+# oracle of the streamed ones: DofReport.to_dict dumped with the artifact
+# body, and DofReport.to_csv's row loop.
+
+
+def old_report_dict(rep):
+    return {
+        "config": rep.config.to_dict(),
+        "t_eff": rep.t_eff,
+        "n_upper": rep.n_upper,
+        "per_order": [r._asdict() for r in rep.per_order],
+        "total": rep.total,
+    }
+
+
+def old_report_csv(rep):
+    lines = ["n,f_crit_hz,w_eff_hz,dof"]
+    for r in rep.per_order:
+        lines.append(f"{r.n:d},{r.f_crit:.9g},{r.w_eff:.9g},{r.dof:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+def old_analyze_artifacts(cfg, out):
+    """dof_report.json and dof_report.csv, less its # generated line, as analyze wrote them."""
+    rep = dofcore.total_dof(cfg)
+    manifest = {"command": "analyze", "config_source": "flags+defaults", "out_dir": str(out),
+                "seed": 0, "format": "csv"}
+    body = {"version": __version__, "manifest": manifest, "seed": 0, "config": cfg.to_dict(),
+            "report": old_report_dict(rep)}
+    resolved = " ".join(f"{k}={v!r}" for k, v in sorted(cfg.to_dict().items()))
+    comments = [f"# tool: wavedof {__version__}", "# command: analyze", "# seed: 0", f"# config: {resolved}"]
+    return json.dumps(body, indent=2, sort_keys=True) + "\n", "\n".join(comments) + "\n" + old_report_csv(rep)
+
+
+def assert_writers_match_oracle(cfg, out):
+    flags = [arg for k, v in cfg.to_dict().items() for arg in (f"--{k.replace('_', '-')}", repr(v))]
+    assert main(["analyze", *flags, "--out", str(out)]) == 0
+    want_json, want_csv = old_analyze_artifacts(cfg, out)
+    assert (out / "dof_report.json").read_text() == want_json
+    csv_lines = (out / "dof_report.csv").read_text().split("\n")
+    assert csv_lines[4].startswith("# generated: ")
+    assert "\n".join(csv_lines[:4] + csv_lines[5:]) == want_csv
+
+
+def cfg_with_orders(n_upper, ratio=1.0, obs_time=0.0):
+    """The wideband default band with N_u == n_upper; ratio is gamma / snr_max."""
+    shift = 0.5 * math.log(ratio) if n_upper - 0.5 + 0.5 * math.log(ratio) > 0.0 else 0.0
+    band_high = 2.8e9
+    # band_high / scale - shift == n_upper - 1/2, halfway between two floors
+    radius = (n_upper - 0.5 + shift) * 3e8 / (math.e * math.pi * band_high)
+    cfg = ChannelConfig(f0=1.5e9, half_bw=1.3e9, radius=radius, obs_time=obs_time, wave_speed=3e8,
+                        noise_var=1.0, p_max=1.0, gamma=math.exp(2.0 * shift))
+    assert dofcore.truncation_order(cfg) == n_upper
+    return cfg
+
+
+class TestReportWriters:
+    """analyze writes the rows from the columns, in blocks, with the old bytes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n_upper=st.one_of(st.integers(1, 40), st.integers(1, 3000)),
+        ratio=st.floats(1e-6, 1e6),
+        obs_time=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
+        block=st.sampled_from([1, 2, 7, 8, 64, dofcore._ROW_BLOCK]),
+    )
+    def test_matches_old_writers(self, tmp_path, n_upper, ratio, obs_time, block):
+        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
+            assert_writers_match_oracle(cfg_with_orders(n_upper, ratio, obs_time), tmp_path)
+
+    @pytest.mark.parametrize(
+        "block,n_upper",
+        # rows = 2 N_u - 1 at the block size and one to either side of it
+        [(dofcore._ROW_BLOCK, 4096), (dofcore._ROW_BLOCK, 4097), (7, 4), (8, 4), (8, 5), (1, 1), (1, 2)],
+    )
+    def test_rows_around_the_block_size(self, tmp_path, block, n_upper):
+        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
+            assert_writers_match_oracle(cfg_with_orders(n_upper, obs_time=2e-9), tmp_path)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(radius=0.0, gamma=2000.0), dict(radius=0.0, gamma=0.5), dict(p_max=0.0),
+         dict(radius=0.37, gamma=1e-3)],
+    )
+    def test_degenerate_configs(self, tmp_path, kw):
+        # R = 0 and a silent channel put f_crit at inf, which JSON spells Infinity
+        cfg = ChannelConfig(**{**cli.DEFAULT_CONFIG, **kw})
+        assert_writers_match_oracle(cfg, tmp_path)
+
+    def test_placeholder_in_out_path(self, tmp_path):
+        out = tmp_path / f'"per_order": "{cli._ROWS_PLACEHOLDER}" inf'
+        assert_writers_match_oracle(ChannelConfig(**{**cli.DEFAULT_CONFIG, "radius": 0.0}), out)
+        assert_writers_match_oracle(ChannelConfig(**cli.DEFAULT_CONFIG), out)
+
+    def test_traced_peak_is_the_columns_plus_one_block(self, tmp_path, capsys):
+        # R = 251 m gives 40,019 rows; the rows before the change held 1.35 kB each
+        argv = ["analyze", "--radius", "251", "--out", str(tmp_path)]
+        rows = dofcore.total_dof(ChannelConfig(**{**cli.DEFAULT_CONFIG, "radius": 251.0})).n.size
+        assert rows >= 40_000 > 4 * dofcore._ROW_BLOCK
+        main(argv)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # four 8-byte columns, plus one block of text and the numbers it is
+        # formatted from (measured 575 B per row of the block)
+        assert peak < 4 * 8 * rows + 640 * dofcore._ROW_BLOCK

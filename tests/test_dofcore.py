@@ -5,8 +5,8 @@ recomputation of the budget formulas (critical frequencies, per-order
 bandwidths, effective time, total) for two fixed configurations.
 """
 
-import json
 import math
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -229,16 +229,49 @@ class TestTotalDof:
         with pytest.raises(ValueError):
             total_dof(worked_cfg(noise_var=0.0))
 
+    def test_columns_and_rows(self):
+        rep = total_dof(second_cfg())
+        assert [c.shape for c in (rep.n, rep.f_crit, rep.w_eff, rep.dof)] == [(19,)] * 4
+        assert rep.n.tolist() == list(range(-9, 10))
+        assert len(rep.per_order) == 19
+        assert rep.per_order[0] == (-9, rep.f_crit[0], rep.w_eff[0], rep.dof[0])
+        assert all(type(v) in (int, float) for row in rep.per_order for v in row)
+
+    @pytest.mark.parametrize("radius", [0.1, 0.37, 100.0])
+    def test_total_is_the_sequential_sum(self, radius):
+        # left to right, one rounding per order; Python 3.12+ sum() compensates
+        rep = total_dof(worked_cfg(radius=radius, obs_time=3e-9))
+        acc = 0.0
+        for d in rep.dof.tolist():
+            acc += d
+        assert rep.total == acc
+
+    def test_total_pinned_at_r100(self):
+        # the default wideband scenario at R = 100 m; math.fsum gives 14830126.412966006
+        cfg = ChannelConfig(f0=1.5e9, half_bw=1.3e9, radius=100.0, obs_time=0.0,
+                            wave_speed=3e8, noise_var=1.0, p_max=1000.0, gamma=1.0)
+        assert total_dof(cfg).total == 14830126.412965681
+
+    @pytest.mark.parametrize("kw", [dict(obs_time=1e300), dict(obs_time=1e308, p_max=0.0),
+                                    dict(radius=1e300, p_max=0.0, wave_speed=1e-10)])
+    def test_overflowing_budget_rejected_without_warning(self, kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"W_n \* T_eff \+ 1 .* must be finite"):
+                total_dof(worked_cfg(**kw))
+
 
 class TestReportSerialization:
     def test_json_reproducible_across_builds(self):
-        # the CLI writes the report body as json.dumps(to_dict(), sort_keys=True)
-        dump = lambda rep: json.dumps(rep.to_dict(), sort_keys=True)
+        # the CLI writes the report body from the scalars and the columns
+        dump = lambda rep: [rep.t_eff, rep.n_upper, rep.total] + [
+            c.tobytes() for c in (rep.n, rep.f_crit, rep.w_eff, rep.dof)
+        ]
         assert dump(total_dof(second_cfg())) == dump(total_dof(second_cfg()))
 
     def test_csv_layout(self):
         rep = total_dof(worked_cfg())
-        lines = rep.to_csv().strip().split("\n")
+        lines = "".join(rep.csv_blocks()).strip().split("\n")
         assert lines[0] == "n,f_crit_hz,w_eff_hz,dof"
         assert len(lines) == 1 + 17
         row0 = lines[1 + 8].split(",")   # order 0 row
@@ -246,7 +279,8 @@ class TestReportSerialization:
         assert float(row0[2]) == pytest.approx(1e9, rel=1e-8)
 
     def test_csv_deterministic(self):
-        assert total_dof(worked_cfg()).to_csv() == total_dof(worked_cfg()).to_csv()
+        csv = lambda: "".join(total_dof(worked_cfg()).csv_blocks())
+        assert csv() == csv()
 
 
 class TestMonotonicity:

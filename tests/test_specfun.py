@@ -318,6 +318,18 @@ class TestBesselDomain:
         with pytest.raises(ValueError, match="<= 100000"):
             bessel_j_table(2, np.array([[1.0, 2.0], [3.0, 1e8]]))
 
+    @pytest.mark.parametrize("n", [2.7, 2.0, 2.9, math.nan, "3", None])
+    def test_non_integer_order_rejected(self, n):
+        with pytest.raises(ValueError, match=f"order must be an integer, got {n!r}"):
+            bessel_j(n, 1.0)
+        with pytest.raises(ValueError, match=f"order must be an integer, got {n!r}"):
+            bessel_j_table(n, [1.0, 20.0])
+
+    def test_integer_types_accepted(self):
+        want = bessel_j_table(3, 1.5)
+        assert bessel_j_table(np.int64(3), 1.5).tobytes() == want.tobytes()
+        assert bessel_j(np.int32(3), 1.5) == want[3]
+
 
 class TestStirling:
     def test_frozen_values(self):

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavedof import specfun, verify
 from wavedof.channel import (
@@ -388,6 +390,67 @@ class TestBlockedStages:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+
+def traced_peak(run):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def small_plans(draw):
+    """In-bound plans of a few chunks; the extreme sizes are only ever tested for rejection."""
+    n_probe = draw(st.integers(0, 8))
+    return TrialPlan(
+        num_trials=draw(st.integers(100, 700)),
+        circle_samples=draw(st.integers(2 * n_probe + 2, 96)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_probe=n_probe,
+        freq_samples=draw(st.integers(2, 600)),
+    )
+
+
+class TestBlockedStagesOverRandomPlans:
+    """Over random small plans the blocked stages keep their whole-array bytes and their block bound."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        p=small_plans(),
+        noise_var=st.sampled_from([0.0, 0.7]),
+        p_max=st.floats(0.0, 10.0),
+        radius=st.floats(0.01, 1.0),
+    )
+    def test_power_balance(self, p, noise_var, p_max, radius):
+        cfg = wide_cfg(noise_var=noise_var, p_max=p_max, radius=radius)
+        omega = 2 * math.pi * cfg.f0
+        got, peak = traced_peak(lambda: power_balance_check(p, cfg, omega))
+        want = whole_power_balance(p, cfg, omega)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        # angles, gains and node noise drawn whole (24 + 16 m bytes a trial,
+        # plus the per-trial power), twice for the draws' temporaries, and
+        # three (chunk, nodes, scatterers) complex blocks
+        t, m = p.num_trials, p.circle_samples
+        drawn = t * (16 * 24 + 16 * m + 8)
+        block = min(t, verify._PB_CHUNK_TRIALS) * m * 16 * 16
+        assert peak < 2 * drawn + 3 * block
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 8), radius=st.floats(0.01, 2.0))
+    def test_time_support(self, n, radius):
+        cfg = wide_cfg()
+        got, peak = traced_peak(lambda: time_support_check(n, radius, cfg))
+        times, energy = dense_time_support(n, radius, cfg)
+        assert got.times.tobytes() == times.tobytes()
+        assert got.energy.tobytes() == energy.tobytes()
+        # four (block rows, frequencies) float blocks plus 32 frequency-length
+        # vectors; the dense (times, frequencies) matrix alone is 32 MB
+        freqs = verify._TS_FREQ_SAMPLES
+        assert peak < 8 * (4 * verify._TS_BLOCK_ROWS * freqs + 32 * freqs)
 
 
 class TestDofPrediction:
