@@ -48,6 +48,11 @@ _INT_KEYS = ("seed", *_PLAN_KEYS)
 
 SWEEP_AXES = ("radius", "half_bw", "gamma", "obs_time")
 
+# Bound on the cells a table computes: samples times J_0..J_max for
+# bessel, times a T and a U column per order for chebyshev.  2^22 cells
+# is a 34 MB table and a few seconds of work.
+_MAX_TABLE_CELLS = 2**22
+
 
 class CliError(Exception):
     """Invalid input; maps to exit code 2, as a ValueError does."""
@@ -261,6 +266,12 @@ def cmd_tables(args, file_vals: dict) -> int:
         raise CliError(f"orders must be nonnegative integers, got {orders}")
     if args.samples < 2:
         raise CliError(f"samples must be >= 2, got {args.samples}")
+    columns = max(orders) + 1 if args.kind == "bessel" else 2 * len(set(orders))
+    if args.samples * columns > _MAX_TABLE_CELLS:
+        raise CliError(
+            f"samples * columns must be <= {_MAX_TABLE_CELLS} cells, "
+            f"got {args.samples} * {columns} = {args.samples * columns}"
+        )
     manifest = _manifest(args, "tables")
     out = _out_dir(args)
     n_top = max(orders)

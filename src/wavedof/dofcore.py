@@ -18,6 +18,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .channel import ChannelConfig
+from .specfun import _order_index
 
 __all__ = [
     "SnrBound",
@@ -114,7 +115,7 @@ def critical_frequency(cfg: ChannelConfig, n: int) -> float:
     inf when the channel is silent (p_max == 0) or the region is a point
     (R == 0, except order 0 at gamma <= snr_max, which stays usable).
     """
-    return float(_f_crit(cfg, abs(int(n))))
+    return float(_f_crit(cfg, abs(_order_index(n))))
 
 
 def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
@@ -124,7 +125,7 @@ def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
     Bessel envelope; meaningful in the evanescent regime
     2 pi f R / c < n.
     """
-    n = abs(int(n))
+    n = abs(_order_index(n))
     if not 0.0 <= freq < math.inf:
         raise ValueError(f"freq must be finite and >= 0, got {freq}")
     s = snr_max(cfg)
@@ -174,7 +175,8 @@ def effective_bandwidth(cfg: ChannelConfig, n: int) -> float:
     band above their critical frequency, and nothing once the critical
     frequency clears the band edge.  Even in |n|.
     """
-    return float(_usable_band(cfg, abs(int(n)), critical_frequency(cfg, n)))
+    n = abs(_order_index(n))
+    return float(_usable_band(cfg, n, critical_frequency(cfg, n)))
 
 
 def total_dof(cfg: ChannelConfig) -> "DofReport":

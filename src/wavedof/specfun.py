@@ -57,6 +57,14 @@ class StirlingBound(NamedTuple):
     value: float
 
 
+def _order_index(n) -> int:
+    """An order or degree as a Python int; numpy integers pass, a float or string is a ValueError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {n!r}") from None
+
+
 def _check_order_arg(n: int, z: np.ndarray) -> None:
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n} (use the reflection identity for negative orders)")
@@ -211,10 +219,7 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
 
     Domain: integer 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an array.
     """
-    try:
-        n_max = operator.index(n_max)
-    except TypeError:
-        raise ValueError(f"order must be an integer, got {n_max!r}") from None
+    n_max = _order_index(n_max)
     z = np.asarray(z, dtype=float)
     _check_order_arg(n_max, z)
     out = np.zeros(z.shape + (n_max + 1,))
@@ -245,7 +250,7 @@ def _chebyshev(n, z, first_step: float):
 
     ``z`` is a scalar (float result) or an array (array result, elementwise).
     """
-    n = int(n)
+    n = _order_index(n)
     z_arr = np.asarray(z, dtype=float)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -279,7 +284,7 @@ def stirling_gamma_lower(n: int) -> StirlingBound:
     Computed in the log domain; the linear value is +inf when it exceeds
     the float range.
     """
-    n = int(n)
+    n = _order_index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     log_val = 0.5 * math.log(2.0 * math.pi * n) + n * math.log(n) - n

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ from .channel import (
     symmetric_orders,
 )
 from .dofcore import critical_frequency, truncation_order
-from .specfun import bessel_j_table
+from .specfun import _order_index, bessel_j_table
 
 __all__ = [
     "TrialPlan",
@@ -150,6 +151,22 @@ def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
     return math.sqrt(vn / db**2 + (nb / db**2) ** 2 * vd)
 
 
+# Trials reduced at once by the SNR estimate.  A (64, 257) complex block
+# is 263 kB; the two real planes of a draw, 2 x trials x freq_samples
+# floats, are the estimate's one large array (8.2 MB at the default plan).
+_SNR_BLOCK_ROWS = 64
+
+
+def _trial_integrals(planes: np.ndarray, omega: np.ndarray, power) -> np.ndarray:
+    """Per trial, the trapezoid over omega of power(re + i im), in blocks of trial rows."""
+    re, im = planes
+    out = np.empty(re.shape[0])
+    for lo in range(0, out.size, _SNR_BLOCK_ROWS):
+        rows = slice(lo, lo + _SNR_BLOCK_ROWS)
+        out[rows] = _trapezoid(power(re[rows] + 1j * im[rows]), omega, axis=1)
+    return out
+
+
 def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: float) -> SnrEstimate:
     """Monte Carlo per-order SNR over the band [grid start, f_edge].
 
@@ -172,14 +189,17 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
 
     # alpha_n of the discrete-scatterer ensemble is exactly CN(0, p_max), the
     # gain law of one scatterer, independently per frequency, so it is drawn
-    # from that law directly instead of rebuilding a scatterer set per trial
+    # from that law directly instead of rebuilding a scatterer set per trial.
+    # Each draw fills the real plane, then the imaginary one, as
+    # _complex_normal does, into one buffer that alpha and then nu reuse.
     rng = np.random.default_rng(plan.seed)
-    t, k = plan.num_trials, grid.size
-    alpha = _complex_normal(rng, _gain_scale(cfg, 1), (t, k))
-    nu = _complex_normal(rng, math.sqrt(2.0 * math.pi * cfg.noise_var / 2.0), (t, k))
-
-    sig = _trapezoid(np.abs(alpha * j_row) ** 2, omega, axis=1)
-    den = _trapezoid(np.abs(nu) ** 2 / (2.0 * math.pi), omega, axis=1)
+    planes = np.empty((2, plan.num_trials, grid.size))
+    alpha_scale = _gain_scale(cfg, 1)
+    nu_scale = math.sqrt(2.0 * math.pi * cfg.noise_var / 2.0)
+    rng.standard_normal(out=planes)
+    sig = _trial_integrals(planes, omega, lambda z: np.abs(alpha_scale * z * j_row) ** 2)
+    rng.standard_normal(out=planes)
+    den = _trial_integrals(planes, omega, lambda z: np.abs(nu_scale * z) ** 2 / (2.0 * math.pi))
     snr_hat = float(np.mean(sig) / np.mean(den))
     return SnrEstimate(n=int(n), f_edge=float(f_edge), snr_hat=snr_hat, stderr=_ratio_stderr(sig, den))
 
@@ -358,10 +378,7 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
     symmetrically keeps the leakage fraction comparable across orders,
     which turn on at different frequencies.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"order must be an integer, got {n!r}") from None
+    n = _order_index(n)
     if radius <= 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
     c = cfg.wave_speed
@@ -394,6 +411,46 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
     return TimeSupportResult(leakage=leakage, edge_time=edge_time, times=times, energy=energy)
 
 
+class _SnrProbe(NamedTuple):
+    """One SNR estimate of the detectability audit and the side of gamma it must fall on."""
+
+    name: str
+    plan: TrialPlan
+    n: int
+    f_edge: float
+    below: bool             # pass when snr_hat + 3 stderr < gamma, else when >= gamma
+    detail: str
+
+
+def _snr_probes(cfg: ChannelConfig, plan: TrialPlan) -> list[_SnrProbe]:
+    """The probes of dof_prediction_check, in check order; each seeds its own generator."""
+    probes = []
+    n_up = truncation_order(cfg)
+    gamma = cfg.gamma
+    probe_top = min(n_up - 1, plan.n_probe)
+    for i, n in enumerate(range(1, probe_top + 1)):
+        f_crit = critical_frequency(cfg, n)
+        sub = dataclasses.replace(plan, seed=plan.seed + 7919 * (i + 1))
+        if f_crit > 0.0:
+            detail = f"threshold {gamma:.6g} at 0.8 F_n"
+            probes.append(_SnrProbe(f"snr_below_crit[n={n}]", sub, n, 0.8 * f_crit, True, detail))
+        if f_crit < cfg.band_low:
+            detail = f"threshold {gamma:.6g} over the band"
+            probes.append(_SnrProbe(f"snr_full_band[n={n}]", sub, n, cfg.band_high, False, detail))
+    if math.isfinite(critical_frequency(cfg, n_up)):
+        sub = dataclasses.replace(plan, seed=plan.seed + 104729)
+        detail = "in-band SNR at the truncation order"
+        probes.append(_SnrProbe(f"snr_truncated[n={n_up}]", sub, n_up, cfg.band_high, True, detail))
+    return probes
+
+
+def _judge(probe: _SnrProbe, est: SnrEstimate, gamma: float) -> CheckResult:
+    high = est.snr_hat + 3.0 * est.stderr
+    # both comparisons are written out so that a NaN estimate fails either side
+    ok = high < gamma if probe.below else high >= gamma
+    return CheckResult(probe.name, est.snr_hat, est.stderr, "pass" if ok else "fail", probe.detail)
+
+
 def dof_prediction_check(cfg: ChannelConfig, plan: TrialPlan) -> list[CheckResult]:
     """End-to-end detectability audit of the per-order budget.
 
@@ -402,42 +459,9 @@ def dof_prediction_check(cfg: ChannelConfig, plan: TrialPlan) -> list[CheckResul
     critical frequency sits below the band keep the whole band usable;
     orders at the truncation bound are undetectable across the band.
     """
-    results = []
-    n_up = truncation_order(cfg)
-    gamma = cfg.gamma
-    probe_top = min(n_up - 1, plan.n_probe)
-    for i, n in enumerate(range(1, probe_top + 1)):
-        f_crit = critical_frequency(cfg, n)
-        sub = dataclasses.replace(plan, seed=plan.seed + 7919 * (i + 1))
-        if f_crit > 0.0:
-            est = empirical_order_snr(sub, cfg, n, 0.8 * f_crit)
-            ok = est.snr_hat + 3.0 * est.stderr < gamma
-            results.append(
-                CheckResult(
-                    f"snr_below_crit[n={n}]", est.snr_hat, est.stderr,
-                    "pass" if ok else "fail", f"threshold {gamma:.6g} at 0.8 F_n",
-                )
-            )
-        if f_crit < cfg.band_low:
-            est = empirical_order_snr(sub, cfg, n, cfg.band_high)
-            ok = est.snr_hat + 3.0 * est.stderr >= gamma
-            results.append(
-                CheckResult(
-                    f"snr_full_band[n={n}]", est.snr_hat, est.stderr,
-                    "pass" if ok else "fail", f"threshold {gamma:.6g} over the band",
-                )
-            )
-    if math.isfinite(critical_frequency(cfg, n_up)):
-        sub = dataclasses.replace(plan, seed=plan.seed + 104729)
-        est = empirical_order_snr(sub, cfg, n_up, cfg.band_high)
-        ok = est.snr_hat + 3.0 * est.stderr < gamma
-        results.append(
-            CheckResult(
-                f"snr_truncated[n={n_up}]", est.snr_hat, est.stderr,
-                "pass" if ok else "fail", "in-band SNR at the truncation order",
-            )
-        )
-    return results
+    return [
+        _judge(p, empirical_order_snr(p.plan, cfg, p.n, p.f_edge), cfg.gamma) for p in _snr_probes(cfg, plan)
+    ]
 
 
 @dataclass(frozen=True)
@@ -470,8 +494,50 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
-    """Full verification pass: quadrature, noise, power, SNR, time support."""
+    """Full verification pass: quadrature, noise, power, SNR, time support.
+
+    The noise, power-balance and time-support stages and every SNR probe
+    seed their own generator and spend their time in numpy loops that
+    release the GIL, so they run at once on a pool of one thread per
+    usable CPU.  Their results are read back in check order, so the
+    report, and whichever exception a stage raises, do not depend on the
+    number of workers.
+    """
+    # imported here, not with the module: analyze, sweep and tables start no
+    # pool, and the executor's imports (logging, queue) cost them about 7 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        probes, probe_error = _snr_probes(cfg, plan), None
+    except ValueError as exc:
+        probes, probe_error = [], exc
+    omega_mid = 2.0 * math.pi * cfg.f0
+    pool = ThreadPoolExecutor(max_workers=_usable_cpus())
+    try:
+        noise = pool.submit(noise_variance_check, plan, cfg)
+        balance = pool.submit(power_balance_check, plan, cfg, omega_mid)
+        support = pool.submit(time_support_check, 0, cfg.radius, cfg) if cfg.radius > 0.0 else None
+        estimates = [pool.submit(empirical_order_snr, p.plan, cfg, p.n, p.f_edge) for p in probes]
+        noise_rows, pb = noise.result(), balance.result()
+        ts = None if support is None else support.result()
+        try:
+            if probe_error is not None:
+                raise probe_error
+            snr_rows = [_judge(p, est.result(), cfg.gamma) for p, est in zip(probes, estimates)]
+        except ValueError as exc:
+            snr_rows = [CheckResult("dof_prediction", 0.0, 0.0, "skipped", str(exc))]
+    finally:
+        # after a stage raised, the stages not yet started need not run
+        pool.shutdown(cancel_futures=True)
+
     checks: list[CheckResult] = []
 
     resid = max(orthogonality_check(3, 3, plan.circle_samples),
@@ -483,10 +549,8 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
         )
     )
 
-    checks.extend(noise_variance_check(plan, cfg))
+    checks.extend(noise_rows)
 
-    omega_mid = 2.0 * math.pi * cfg.f0
-    pb = power_balance_check(plan, cfg, omega_mid)
     tol = max(3.0 * pb.stderr, 1e-12)
     checks.append(
         CheckResult(
@@ -501,8 +565,7 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
         )
     )
 
-    if cfg.radius > 0.0:
-        ts = time_support_check(0, cfg.radius, cfg)
+    if ts is not None:
         edge_ok = abs(ts.edge_time - cfg.radius / cfg.wave_speed) <= 0.05 * cfg.radius / cfg.wave_speed
         checks.append(
             CheckResult(
@@ -516,9 +579,6 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
             CheckResult("time_support_leakage", 0.0, 0.0, "skipped", "point observation region")
         )
 
-    try:
-        checks.extend(dof_prediction_check(cfg, plan))
-    except ValueError as exc:
-        checks.append(CheckResult("dof_prediction", 0.0, 0.0, "skipped", str(exc)))
+    checks.extend(snr_rows)
 
     return CampaignReport(config=cfg, plan=plan, checks=tuple(checks))

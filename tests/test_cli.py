@@ -182,6 +182,9 @@ class TestRejectedInputs:
             (["simulate", "--num-trials", "10000000"], None, "<= 16777216 cells"),
             (["simulate", "--num-trials", "100", "--circle-samples", "200000"], None, "circle_samples"),
             (["analyze", "--obs-time", "1e300"], None, "W_n * T_eff + 1"),
+            (["tables", "--kind", "bessel", "--orders", "0", "--samples", "100000000"], None, "<= 4194304 cells"),
+            (["tables", "--kind", "bessel", "--orders", "10000", "--samples", "420"], None, "420 * 10001"),
+            (["tables", "--kind", "chebyshev", "--orders", "1", "2", "2", "--samples", "1048577"], None, "* 4 ="),
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, config, named):

@@ -8,6 +8,7 @@ bandwidths, effective time, total) for two fixed configurations.
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,12 @@ class TestCriticalFrequency:
         with pytest.raises(ValueError):
             critical_frequency(worked_cfg(noise_var=0.0), 1)
 
+    def test_non_integer_order_rejected(self):
+        cfg = worked_cfg()
+        with pytest.raises(ValueError, match="order must be an integer, got 2.7"):
+            critical_frequency(cfg, 2.7)
+        assert critical_frequency(cfg, np.int64(2)) == critical_frequency(cfg, 2)
+
 
 class TestSnrUpperBound:
     def test_equals_threshold_at_critical_frequency(self):
@@ -147,6 +154,12 @@ class TestSnrUpperBound:
         for freq in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="freq"):
                 snr_upper_bound(worked_cfg(), 1, freq)
+
+    def test_non_integer_order_rejected(self):
+        cfg = worked_cfg()
+        with pytest.raises(ValueError, match="order must be an integer, got 2.7"):
+            snr_upper_bound(cfg, 2.7, 1e9)
+        assert snr_upper_bound(cfg, np.int32(-2), 1e9) == snr_upper_bound(cfg, 2, 1e9)
 
 
 class TestTruncationOrder:
@@ -196,6 +209,12 @@ class TestEffectiveBandwidth:
         vals = [effective_bandwidth(cfg, n) for n in range(0, 15)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1e9 for v in vals)
+
+    def test_non_integer_order_rejected(self):
+        cfg = worked_cfg()
+        with pytest.raises(ValueError, match="order must be an integer, got 7.9"):
+            effective_bandwidth(cfg, 7.9)
+        assert effective_bandwidth(cfg, np.int64(7)) == effective_bandwidth(cfg, 7)
 
 
 class TestTotalDof:

@@ -354,6 +354,11 @@ class TestStirling:
         with pytest.raises(ValueError):
             stirling_gamma_lower(0)
 
+    def test_non_integer_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be an integer, got 2.7"):
+            stirling_gamma_lower(2.7)
+        assert stirling_gamma_lower(np.int64(5)) == stirling_gamma_lower(5)
+
 
 class TestChebyshev:
     def test_base_cases(self):
@@ -404,6 +409,12 @@ class TestChebyshev:
             for n in (0, 1, 2, 5, 9, 40, 1000):
                 scalar = np.array([kind(n, float(x)) for x in grid])
                 assert kind(n, grid).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("kind", [chebyshev_first_kind, chebyshev_second_kind])
+    def test_non_integer_degree_rejected(self, kind):
+        with pytest.raises(ValueError, match="order must be an integer, got 2.7"):
+            kind(2.7, 0.5)
+        assert kind(np.int64(2), 0.5) == kind(2, 0.5)
 
     def test_degree_bound(self):
         assert chebyshev_first_kind(10_000, 1.0) == 1.0

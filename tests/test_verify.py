@@ -4,12 +4,15 @@ end-to-end detectability audit."""
 
 import json
 import math
+import os
 import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wavedof import specfun, verify
@@ -21,10 +24,12 @@ from wavedof.channel import (
     _planewave_sum,
     _white_circle_noise,
 )
-from wavedof.cli import DEFAULT_CONFIG
-from wavedof.dofcore import snr_max, snr_upper_bound, truncation_order
+from wavedof.cli import DEFAULT_CONFIG, main
+from wavedof.dofcore import critical_frequency, snr_max, snr_upper_bound, truncation_order
 from wavedof.specfun import bessel_j_table
 from wavedof.verify import (
+    CampaignReport,
+    CheckResult,
     TrialPlan,
     dof_prediction_check,
     empirical_order_snr,
@@ -95,6 +100,83 @@ def whole_power_balance(p, cfg, omega):
         reference=float(reference),
         tail=float(abs(exact_ref - reference) / max(exact_ref, 1e-300)),
     )
+
+
+def whole_order_snr(p, cfg, n, f_edge):
+    """The SNR estimate from two whole complex draws: the oracle of the plane-blocked one."""
+    if cfg.noise_var == 0.0:
+        raise ValueError("empirical SNR is undefined for noise_var == 0")
+    if not 0.0 < f_edge <= cfg.band_high * (1.0 + 1e-9):
+        raise ValueError(f"f_edge must lie in (0, band_high], got {f_edge}")
+    grid = np.linspace(0.0, cfg.band_high, p.freq_samples)
+    grid = grid[grid <= f_edge * (1.0 + 1e-12)]
+    if grid.size < 2:
+        raise ValueError(f"fewer than 2 grid points below f_edge={f_edge}; densify the plan")
+    omega = 2.0 * math.pi * grid
+    j_row = bessel_j_table(abs(n), 2.0 * math.pi * grid * cfg.radius / cfg.wave_speed)[:, -1]
+    rng = np.random.default_rng(p.seed)
+    t, k = p.num_trials, grid.size
+    alpha = _complex_normal(rng, _gain_scale(cfg, 1), (t, k))
+    nu = _complex_normal(rng, math.sqrt(2.0 * math.pi * cfg.noise_var / 2.0), (t, k))
+    sig = verify._trapezoid(np.abs(alpha * j_row) ** 2, omega, axis=1)
+    den = verify._trapezoid(np.abs(nu) ** 2 / (2.0 * math.pi), omega, axis=1)
+    return verify.SnrEstimate(int(n), float(f_edge), float(np.mean(sig) / np.mean(den)), verify._ratio_stderr(sig, den))
+
+
+def serial_dof_prediction(cfg, p):
+    """The detectability audit as one serial loop over orders: the oracle of the probe list."""
+    results = []
+    n_up = truncation_order(cfg)
+    gamma = cfg.gamma
+    for i, n in enumerate(range(1, min(n_up - 1, p.n_probe) + 1)):
+        f_crit = critical_frequency(cfg, n)
+        sub = TrialPlan(**{**p.to_dict(), "seed": p.seed + 7919 * (i + 1)})
+        if f_crit > 0.0:
+            est = verify.empirical_order_snr(sub, cfg, n, 0.8 * f_crit)
+            ok = est.snr_hat + 3.0 * est.stderr < gamma
+            results.append(CheckResult(f"snr_below_crit[n={n}]", est.snr_hat, est.stderr,
+                                       "pass" if ok else "fail", f"threshold {gamma:.6g} at 0.8 F_n"))
+        if f_crit < cfg.band_low:
+            est = verify.empirical_order_snr(sub, cfg, n, cfg.band_high)
+            ok = est.snr_hat + 3.0 * est.stderr >= gamma
+            results.append(CheckResult(f"snr_full_band[n={n}]", est.snr_hat, est.stderr,
+                                       "pass" if ok else "fail", f"threshold {gamma:.6g} over the band"))
+    if math.isfinite(critical_frequency(cfg, n_up)):
+        sub = TrialPlan(**{**p.to_dict(), "seed": p.seed + 104729})
+        est = verify.empirical_order_snr(sub, cfg, n_up, cfg.band_high)
+        ok = est.snr_hat + 3.0 * est.stderr < gamma
+        results.append(CheckResult(f"snr_truncated[n={n_up}]", est.snr_hat, est.stderr,
+                                   "pass" if ok else "fail", "in-band SNR at the truncation order"))
+    return results
+
+
+def serial_campaign(cfg, p):
+    """Every stage in check order in the calling thread, SNR from whole draws: the oracle of the pool."""
+    resid = max(orthogonality_check(3, 3, p.circle_samples), orthogonality_check(2, 5, p.circle_samples))
+    checks = [CheckResult("orthogonality", resid, 0.0, "pass" if resid < 1e-12 else "fail",
+                          "worst residual below the alias bound")]
+    checks.extend(noise_variance_check(p, cfg))
+    pb = power_balance_check(p, cfg, 2.0 * math.pi * cfg.f0)
+    checks.append(CheckResult("power_balance", pb.residual, pb.stderr,
+                              "pass" if pb.residual <= max(3.0 * pb.stderr, 1e-12) else "fail",
+                              "circle power vs modal sum at f0"))
+    checks.append(CheckResult("power_balance_exact", pb.tail, 0.0, "pass" if pb.tail < 1e-6 else "fail",
+                              "truncation tail of the modal sum"))
+    if cfg.radius > 0.0:
+        ts = time_support_check(0, cfg.radius, cfg)
+        rc = cfg.radius / cfg.wave_speed
+        edge_ok = abs(ts.edge_time - rc) <= 0.05 * rc
+        checks.append(CheckResult("time_support_leakage", ts.leakage, 0.0,
+                                  "pass" if (ts.leakage < 0.01 and edge_ok) else "fail",
+                                  f"edge at {ts.edge_time:.4g} s vs R/c = {rc:.4g} s"))
+    else:
+        checks.append(CheckResult("time_support_leakage", 0.0, 0.0, "skipped", "point observation region"))
+    with mock.patch.object(verify, "empirical_order_snr", whole_order_snr):
+        try:
+            checks.extend(serial_dof_prediction(cfg, p))
+        except ValueError as exc:
+            checks.append(CheckResult("dof_prediction", 0.0, 0.0, "skipped", str(exc)))
+    return CampaignReport(config=cfg, plan=p, checks=tuple(checks))
 
 
 class TestTrialPlan:
@@ -373,15 +455,19 @@ class TestBlockedStages:
         shipped = json.dumps(run_campaign(cfg, p).to_dict())
         monkeypatch.setattr(verify, "_TS_BLOCK_ROWS", sys.maxsize)
         monkeypatch.setattr(verify, "_PB_CHUNK_TRIALS", sys.maxsize)
+        monkeypatch.setattr(verify, "_SNR_BLOCK_ROWS", sys.maxsize)
         monkeypatch.setattr(specfun, "_ARRAY_MIN_ARGS", sys.maxsize)
         assert json.dumps(run_campaign(cfg, p).to_dict()) == shipped
 
-    @pytest.mark.parametrize("stage", ["time_support", "power_balance"])
+    @pytest.mark.parametrize("stage", ["time_support", "power_balance", "snr"])
     def test_peak_memory_at_defaults(self, stage):
         cfg, p = ChannelConfig(**DEFAULT_CONFIG), TrialPlan()
-        run = {
-            "time_support": lambda: time_support_check(0, cfg.radius, cfg),
-            "power_balance": lambda: power_balance_check(p, cfg, 2 * math.pi * cfg.f0),
+        run, bound = {
+            "time_support": (lambda: time_support_check(0, cfg.radius, cfg), 24e6),
+            "power_balance": (lambda: power_balance_check(p, cfg, 2 * math.pi * cfg.f0), 24e6),
+            # the two real planes of a draw, 2 x 2000 x 257 floats (8.2 MB),
+            # plus the per-trial integrals and a few (64, 257) blocks
+            "snr": (lambda: empirical_order_snr(p, cfg, p.n_probe, cfg.band_high), 12e6),
         }[stage]
         tracemalloc.start()
         try:
@@ -389,7 +475,7 @@ class TestBlockedStages:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < bound
 
 
 def traced_peak(run):
@@ -451,6 +537,86 @@ class TestBlockedStagesOverRandomPlans:
         # vectors; the dense (times, frequencies) matrix alone is 32 MB
         freqs = verify._TS_FREQ_SAMPLES
         assert peak < 8 * (4 * verify._TS_BLOCK_ROWS * freqs + 32 * freqs)
+
+
+class TestSnrPlanes:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(p=small_plans(), n=st.integers(0, 12), edge=st.floats(0.01, 1.0), radius=st.floats(0.01, 1.0))
+    @example(p=TrialPlan(), n=16, edge=1.0, radius=0.1)
+    def test_bitwise_equal_to_whole_complex_draws(self, p, n, edge, radius):
+        cfg = wide_cfg(radius=radius)
+        f_edge = edge * cfg.band_high
+        assume(np.count_nonzero(np.linspace(0.0, cfg.band_high, p.freq_samples) <= f_edge * (1.0 + 1e-12)) >= 2)
+        got = empirical_order_snr(p, cfg, n, f_edge)
+        assert np.array(got).tobytes() == np.array(whole_order_snr(p, cfg, n, f_edge)).tobytes()
+
+
+def assert_worker_count_invisible(cfg, p):
+    """run_campaign on 1 and on 4 workers gives the serial oracle's bytes and leaves no thread behind."""
+    want = json.dumps(serial_campaign(cfg, p).to_dict())
+    baseline = threading.active_count()
+    for cpus in (1, 4):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            assert verify._usable_cpus() == cpus
+            assert json.dumps(run_campaign(cfg, p).to_dict()) == want
+        assert threading.active_count() == baseline
+    return json.loads(want)
+
+
+class TestCampaignWorkers:
+    """Stages run on a thread pool; the worker count changes no byte."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_defaults(self, seed):
+        doc = assert_worker_count_invisible(ChannelConfig(**DEFAULT_CONFIG), TrialPlan(seed=seed))
+        assert any(c["name"].startswith("snr_truncated") for c in doc["checks"])
+
+    def test_point_region_skips_time_support(self):
+        doc = assert_worker_count_invisible(wide_cfg(radius=0.0), plan())
+        # a point region has no SNR probes, so time support is the last line
+        assert doc["checks"][-1]["name"] == "time_support_leakage" and doc["checks"][-1]["verdict"] == "skipped"
+
+    def test_noiseless_skips_snr(self):
+        doc = assert_worker_count_invisible(wide_cfg(noise_var=0.0), plan(num_trials=300))
+        assert doc["checks"][-1]["name"] == "dof_prediction" and doc["checks"][-1]["verdict"] == "skipped"
+
+    def test_too_few_grid_points_skips_snr(self):
+        doc = assert_worker_count_invisible(wide_cfg(), plan(num_trials=300, freq_samples=2))
+        assert doc["checks"][-1]["name"] == "dof_prediction"
+        assert doc["checks"][-1]["detail"].startswith("fewer than 2 grid points")
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(p=small_plans(), radius=st.sampled_from([0.0, 0.05, 0.37]), noise_var=st.sampled_from([0.0, 0.7, 1.0]))
+    def test_random_plans(self, p, radius, noise_var):
+        assert_worker_count_invisible(wide_cfg(radius=radius, noise_var=noise_var), p)
+
+    @pytest.mark.parametrize("stage", ["noise_variance_check", "power_balance_check", "time_support_check"])
+    def test_stage_error_propagates(self, monkeypatch, tmp_path, capsys, stage):
+        err = ValueError(f"{stage} broke")
+
+        def broken(*args):
+            raise err
+
+        monkeypatch.setattr(verify, stage, broken)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError) as info:
+            run_campaign(wide_cfg(), plan(num_trials=300))
+        assert info.value is err
+        assert threading.active_count() == baseline
+        assert main(["simulate", "--num-trials", "300", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {stage} broke\n"
+        assert threading.active_count() == baseline
+
+    def test_probe_error_skips_every_snr_line(self, monkeypatch):
+        def order_3_breaks(p, cfg, n, f_edge):
+            if n == 3:
+                raise ValueError("probe broke")
+            return whole_order_snr(p, cfg, n, f_edge)
+
+        monkeypatch.setattr(verify, "empirical_order_snr", order_3_breaks)
+        rep = run_campaign(wide_cfg(), plan(num_trials=300))
+        snr = [c for c in rep.checks if c.name.startswith(("snr_", "dof_prediction"))]
+        assert snr == [CheckResult("dof_prediction", 0.0, 0.0, "skipped", "probe broke")]
 
 
 class TestDofPrediction:
