@@ -42,7 +42,6 @@ from .verify import (
     CheckResult,
     SnrEstimate,
     TrialPlan,
-    dof_prediction_check,
     empirical_order_snr,
     noise_variance_check,
     orthogonality_check,

@@ -47,7 +47,6 @@ __all__ = [
     "noise_variance_check",
     "power_balance_check",
     "time_support_check",
-    "dof_prediction_check",
     "run_campaign",
 ]
 
@@ -151,22 +150,6 @@ def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
     return math.sqrt(vn / db**2 + (nb / db**2) ** 2 * vd)
 
 
-# Trials reduced at once by the SNR estimate.  A (64, 257) complex block
-# is 263 kB; the two real planes of a draw, 2 x trials x freq_samples
-# floats, are the estimate's one large array (8.2 MB at the default plan).
-_SNR_BLOCK_ROWS = 64
-
-
-def _trial_integrals(planes: np.ndarray, omega: np.ndarray, power) -> np.ndarray:
-    """Per trial, the trapezoid over omega of power(re + i im), in blocks of trial rows."""
-    re, im = planes
-    out = np.empty(re.shape[0])
-    for lo in range(0, out.size, _SNR_BLOCK_ROWS):
-        rows = slice(lo, lo + _SNR_BLOCK_ROWS)
-        out[rows] = _trapezoid(power(re[rows] + 1j * im[rows]), omega, axis=1)
-    return out
-
-
 def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: float) -> SnrEstimate:
     """Monte Carlo per-order SNR over the band [grid start, f_edge].
 
@@ -186,20 +169,18 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
         raise ValueError(f"fewer than 2 grid points below f_edge={f_edge}; densify the plan")
     omega = 2.0 * math.pi * grid
     j_row = bessel_j_table(abs(n), 2.0 * math.pi * grid * cfg.radius / cfg.wave_speed)[:, -1]
+    w = np.convolve(np.diff(omega), [0.5, 0.5])        # trapezoid weights over omega
 
     # alpha_n of the discrete-scatterer ensemble is exactly CN(0, p_max), the
-    # gain law of one scatterer, independently per frequency, so it is drawn
-    # from that law directly instead of rebuilding a scatterer set per trial.
-    # Each draw fills the real plane, then the imaginary one, as
-    # _complex_normal does, into one buffer that alpha and then nu reuse.
+    # gain law of one scatterer, independently per frequency, and nu_n is
+    # CN(0, 2 pi noise_var).  Only |alpha_n|^2 and the noise density
+    # |nu_n|^2 / (2 pi) enter, and the squared modulus of a circular complex
+    # Gaussian is its variance times a standard exponential, so the powers
+    # are drawn from that law directly: the signal draw, then the noise draw.
     rng = np.random.default_rng(plan.seed)
-    planes = np.empty((2, plan.num_trials, grid.size))
-    alpha_scale = _gain_scale(cfg, 1)
-    nu_scale = math.sqrt(2.0 * math.pi * cfg.noise_var / 2.0)
-    rng.standard_normal(out=planes)
-    sig = _trial_integrals(planes, omega, lambda z: np.abs(alpha_scale * z * j_row) ** 2)
-    rng.standard_normal(out=planes)
-    den = _trial_integrals(planes, omega, lambda z: np.abs(nu_scale * z) ** 2 / (2.0 * math.pi))
+    shape = (plan.num_trials, grid.size)
+    sig = np.einsum("tk,k->t", rng.standard_exponential(shape), cfg.p_max * w * j_row**2)
+    den = np.einsum("tk,k->t", rng.standard_exponential(shape), cfg.noise_var * w)
     snr_hat = float(np.mean(sig) / np.mean(den))
     return SnrEstimate(n=int(n), f_edge=float(f_edge), snr_hat=snr_hat, stderr=_ratio_stderr(sig, den))
 
@@ -261,7 +242,8 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
             CheckResult("noise_cross[1,2]", abs(cross), cross_se, "pass" if ok else "fail")
         )
         # joint screen over every ordered pair, threshold adjusted for count
-        cov = (nu.conj().T @ nu) / plan.num_trials
+        # einsum, not a BLAS product, so the bytes do not depend on the thread count
+        cov = np.einsum("ti,tj->ij", nu.conj(), nu) / plan.num_trials
         pair_se = np.sqrt(np.outer(var_est, var_est) / plan.num_trials)
         off = ~np.eye(orders.size, dtype=bool)
         ratio = np.abs(cov)[off] / pair_se[off]
@@ -423,7 +405,13 @@ class _SnrProbe(NamedTuple):
 
 
 def _snr_probes(cfg: ChannelConfig, plan: TrialPlan) -> list[_SnrProbe]:
-    """The probes of dof_prediction_check, in check order; each seeds its own generator."""
+    """The detectability audit's probes, in check order; each seeds its own generator.
+
+    Three claims, one line each per probed order: below the critical
+    frequency the empirical SNR stays under the threshold; orders whose
+    critical frequency sits below the band keep the whole band usable;
+    orders at the truncation bound are undetectable across the band.
+    """
     probes = []
     n_up = truncation_order(cfg)
     gamma = cfg.gamma
@@ -449,19 +437,6 @@ def _judge(probe: _SnrProbe, est: SnrEstimate, gamma: float) -> CheckResult:
     # both comparisons are written out so that a NaN estimate fails either side
     ok = high < gamma if probe.below else high >= gamma
     return CheckResult(probe.name, est.snr_hat, est.stderr, "pass" if ok else "fail", probe.detail)
-
-
-def dof_prediction_check(cfg: ChannelConfig, plan: TrialPlan) -> list[CheckResult]:
-    """End-to-end detectability audit of the per-order budget.
-
-    Three claims, one line each per probed order: below the critical
-    frequency the empirical SNR stays under the threshold; orders whose
-    critical frequency sits below the band keep the whole band usable;
-    orders at the truncation bound are undetectable across the band.
-    """
-    return [
-        _judge(p, empirical_order_snr(p.plan, cfg, p.n, p.f_edge), cfg.gamma) for p in _snr_probes(cfg, plan)
-    ]
 
 
 @dataclass(frozen=True)
