@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .specfun import bessel_j_table
+from .specfun import _MAX_ORDER, _order_index, bessel_j_table
 
 __all__ = [
     "ChannelConfig",
@@ -204,6 +204,8 @@ def make_scatterers(cfg: ChannelConfig, num_scatterers: int, num_freqs: int, see
     p_max at every frequency.  The grid spans [band_low, band_high].
     Deterministic for a given seed.
     """
+    num_scatterers = _order_index(num_scatterers, "num_scatterers")
+    num_freqs = _order_index(num_freqs, "num_freqs")
     if num_scatterers < 1:
         raise ValueError(f"num_scatterers must be >= 1, got {num_scatterers}")
     if num_freqs < 2:
@@ -273,8 +275,12 @@ def modal_coefficients(s: ScattererSet, n_max: int) -> ModalSpectrum:
     The discrete-angle ensemble turns the angular transform of the gain
     density into an exact sum.
     """
+    n_max = _order_index(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    # synth_field_modal evaluates Bessel orders up to this bound
+    if n_max > _MAX_ORDER:
+        raise ValueError(f"n_max must be <= {_MAX_ORDER}, got {n_max}")
     orders = symmetric_orders(n_max)
     kernel = np.exp(-1j * np.outer(orders, s.angles))
     return ModalSpectrum(orders=orders, coeffs=kernel @ s.gains, freq_grid=s.freq_grid)
@@ -341,6 +347,9 @@ def synth_field_circle(
     Node noise follows the white-process discretization (variance
     noise_var * M / (2pi) per node).
     """
+    num_nodes = _order_index(num_nodes, "num_nodes")
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     nodes = _circle_nodes(num_nodes)
     idx = _grid_index(s.freq_grid, omega)
     values = _planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * cfg.radius, nodes[:, None])

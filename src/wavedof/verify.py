@@ -134,6 +134,9 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     n - m is a nonzero multiple of M the quadrature aliases to 2pi and the
     residual shows it.
     """
+    n = _order_index(n, "n")
+    m = _order_index(m, "m")
+    num_samples = _order_index(num_samples, "num_samples")
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     quad = (2.0 * math.pi / num_samples) * np.sum(np.exp(1j * (n - m) * _circle_nodes(num_samples)))
@@ -361,10 +364,13 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
     which turn on at different frequencies.
     """
     n = _order_index(n)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     c = cfg.wave_speed
-    omega_max = _TS_KR_MAX * c / radius
+    # Python floats give inf or 0 here where numpy scalars would warn
+    omega_max = _TS_KR_MAX * float(c) / float(radius)
+    if not (0.0 < omega_max < math.inf):
+        raise ValueError(f"radius {radius} puts the band edge {_TS_KR_MAX:g} c / radius outside the float range")
     omega = np.linspace(0.0, omega_max, _TS_FREQ_SAMPLES)
     window = 0.5 * (1.0 - np.cos(2.0 * math.pi * omega / omega_max))
     spectrum = window * bessel_j_table(abs(n), omega * radius / c)[:, -1]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavedof import specfun
 from wavedof.channel import (
     ChannelConfig,
     FieldSamples,
@@ -138,6 +139,11 @@ class TestMakeScatterers:
         with pytest.raises(ValueError):
             make_scatterers(cfg, 5, 1, seed=SEED)
 
+    @pytest.mark.parametrize("field, args", [("num_scatterers", (8.5, 4)), ("num_freqs", (5, 3.0))])
+    def test_non_integer_count_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_scatterers(base_cfg(), *args, seed=SEED)
+
 
 class TestModalCoefficients:
     def test_shape_and_orders(self):
@@ -175,6 +181,20 @@ class TestModalCoefficients:
         s = make_scatterers(base_cfg(), 5, 3, seed=SEED)
         with pytest.raises(ValueError):
             modal_coefficients(s, -1)
+
+    def test_n_max_bound(self):
+        # rejected before the (2 n_max + 1, J) kernel is allocated
+        s = make_scatterers(base_cfg(), 5, 3, seed=SEED)
+        assert modal_coefficients(s, specfun._MAX_ORDER).n_max == specfun._MAX_ORDER
+        for n_max in (specfun._MAX_ORDER + 1, 10**9):
+            with pytest.raises(ValueError, match=f"n_max must be <= {specfun._MAX_ORDER}"):
+                modal_coefficients(s, n_max)
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, math.nan, "3"])
+    def test_non_integer_n_max_rejected(self, n_max):
+        s = make_scatterers(base_cfg(), 5, 3, seed=SEED)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            modal_coefficients(s, n_max)
 
 
 class TestFieldSynthesis:
@@ -388,6 +408,17 @@ class TestFieldCircle:
         assert fs.noise_included
         with pytest.raises(ValueError, match="seed"):
             synth_field_circle(s, cfg, 16, omega, with_noise=True)
+
+    def test_node_count_validation(self):
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 8, 3, seed=SEED)
+        omega = 2 * math.pi * float(s.freq_grid[0])
+        assert synth_field_circle(s, cfg, np.int64(1), omega).values.shape == (1, 1)
+        with pytest.raises(ValueError, match="num_nodes must be an integer"):
+            synth_field_circle(s, cfg, 2.5, omega)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="num_nodes must be >= 1"):
+                synth_field_circle(s, cfg, bad, omega)
 
 
 class TestSerialization:

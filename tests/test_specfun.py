@@ -287,6 +287,27 @@ class TestBesselKernel:
         ):
             assert bessel_j_table(n_max, z).tobytes() == old_table(n_max, z).tobytes()
 
+    def test_scalar_path_rescale_and_underflow(self):
+        # the same regimes with fewer arguments than the array threshold,
+        # so each argument runs the per-argument loops; at n_max 300 the
+        # recurrence rescales its partial table by 1e-250 once
+        rng = np.random.default_rng(SEED + 5)
+        for n_max, z in (
+            (300, rng.uniform(12.0, 14.0, 1)),
+            (300, rng.uniform(12.0, 14.0, 5)),
+            (300, 13.0),
+            (150, np.geomspace(1e-300, 1e-3, 5)),
+            (150, 1e-200),
+        ):
+            assert np.size(z) < _THRESHOLD
+            assert bessel_j_table(n_max, z).tobytes() == old_table(n_max, z).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_max=st.integers(120, 250), z=st.one_of(st.floats(1e-3, 12.0), st.floats(12.0, 300.0)))
+    def test_bitwise_at_synthesis_orders(self, n_max, z):
+        # one argument over as many orders as a modal synthesis asks for
+        assert bessel_j_table(n_max, z).tobytes() == old_table(n_max, z).tobytes()
+
     def test_scalar_reads_the_table(self):
         for n, z in ((0, 0.0), (7, 3.5), (40, 12.0), (60, 40.0)):
             assert bessel_j(n, z) == bessel_j_table(n, z)[n]

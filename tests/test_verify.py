@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -235,6 +236,16 @@ class TestOrthogonality:
         with pytest.raises(ValueError):
             orthogonality_check(0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "field, args", [("num_samples", (3, 3, 2.5)), ("n", (0.5, 3, 8)), ("n", (math.nan, 3, 8)), ("m", (3, 3.0, 8))]
+    )
+    def test_non_integer_argument_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            orthogonality_check(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert orthogonality_check(np.int64(3), np.int32(3), np.int64(64)) == orthogonality_check(3, 3, 64)
+
 
 class TestEmpiricalSnr:
     def test_flat_response_recovers_snr_max(self):
@@ -409,6 +420,19 @@ class TestTimeSupport:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             time_support_check(0, 0.0, wide_cfg())
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_nonfinite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            time_support_check(0, radius, wide_cfg())
+
+    @pytest.mark.parametrize("radius", [1e-300, np.float64(1e-300)])
+    def test_radius_overflowing_band_edge_rejected(self, radius):
+        # 200 c / radius overflows; rejected before any warning or Bessel call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="radius 1e-300"):
+                time_support_check(0, radius, wide_cfg())
 
     @pytest.mark.parametrize("n", [0.5, 2.0, math.nan])
     def test_non_integer_order_rejected(self, n):
