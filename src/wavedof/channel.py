@@ -210,10 +210,18 @@ def make_scatterers(cfg: ChannelConfig, num_scatterers: int, num_freqs: int, see
         raise ValueError(f"num_scatterers must be >= 1, got {num_scatterers}")
     if num_freqs < 2:
         raise ValueError(f"num_freqs must be >= 2, got {num_freqs}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, num_scatterers)
     gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (num_scatterers, num_freqs))
     return ScattererSet(angles=angles, gains=gains, freq_grid=np.linspace(cfg.band_low, cfg.band_high, num_freqs))
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """A generator from an integer seed >= 0; anything else is a ValueError naming ``seed``."""
+    seed = _order_index(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _gain_scale(cfg: ChannelConfig, num_scatterers: int) -> float:
@@ -356,7 +364,7 @@ def synth_field_circle(
     if with_noise:
         if seed is None:
             raise ValueError("seed is required when with_noise is set")
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         values = values + _white_circle_noise(cfg, rng, (num_nodes,))
     positions = np.column_stack([np.full(num_nodes, cfg.radius), nodes])
     return FieldSamples(

@@ -102,8 +102,9 @@ def _f_crit(cfg: ChannelConfig, n):
     if line is None:
         shift = _shift(cfg)
         return np.where((n == 0) & (shift is not None and shift <= 0.0), 0.0, math.inf)
-    # fmax maps the NaN of an overflowed scale times n + shift == 0 to 0, as max does
-    with np.errstate(invalid="ignore"):
+    # the product overflows to inf for a huge scale, a defined F_n; fmax maps
+    # the NaN of an overflowed scale times n + shift == 0 to 0, as max does
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.fmax(0.0, line[0] * (n + line[1]))
 
 

@@ -2,17 +2,17 @@
 
 Self-contained float64 implementations of the special functions the rest of
 the package builds on.  ``bessel_j_table`` is the one Bessel kernel: it takes
-a scalar or an array of arguments and gives each argument one rule.  z == 0
-gives the unit row, 0 < z <= 12 the ascending power series, and z > 12
-Miller's backward recurrence (normalized with J_0 + 2*sum_k J_{2k} = 1),
-which keeps the tiny pre-turn-on values of high orders accurate where a
-naive forward recurrence would explode.  A regime with at least
-``_ARRAY_MIN_ARGS`` arguments in one call runs across them at once in
-numpy, with the same operations in the same order per argument, so both
-paths give the same bits; fewer arguments take the per-argument loop,
-which is faster for them.  That loop works on plain Python floats and
-lists, because a modal synthesis runs it at one argument over up to
-hundreds of orders.
+a scalar or an array of arguments and gives each argument one rule.  Every
+argument z >= 1e-8 runs Miller's backward recurrence (normalized with
+J_0 + 2*sum_k J_{2k} = 1), which keeps the tiny pre-turn-on values of high
+orders accurate where a naive forward recurrence would explode and loses no
+digits to cancellation; below 1e-8 the leading term (z/2)^n / n! is J_n(z)
+to rounding.  A call with at least ``_ARRAY_MIN_ARGS`` recurrence arguments
+runs across them at once in numpy, with the same operations in the same
+order per argument, so both paths give the same bits; fewer arguments take
+the per-argument loop, which is faster for them.  That loop works on plain
+Python floats and lists, because a modal synthesis runs it at one argument
+over up to hundreds of orders.
 ``bessel_j`` reads one entry of that table.
 """
 
@@ -40,19 +40,14 @@ _MAX_ORDER = 10_000
 # z = 1.5e4 while its order bound holds.
 _MAX_ARG = 1e5
 
-# Ascending series at or below this argument, Miller recurrence above.
-_SERIES_Z_CUTOFF = 12.0
+# Miller's recurrence at or above this argument, the leading term
+# (z/2)^n / n! below it: (z/2)^2 < 2^-53 there, and Miller's first steps
+# overflow for z below about 1e-100.
+_TINY_Z = 1e-8
 
-# Series stops once a term falls below _SERIES_REL_TOL * 1e-4 of the
-# largest term.
-_SERIES_REL_TOL = 1e-10
-
-# A regime (series or recurrence) with at least this many arguments in one
-# call runs across them at once; fewer take the per-argument loop, which
-# is faster there.  Both give the same bits.  Measured crossovers: about 48
-# arguments for the recurrence and 128 for the series; one bound serves
-# both, since the campaign's series calls between 64 and 128 arguments
-# differ by under 0.5 ms in total either way.
+# A call with at least this many recurrence arguments runs across them at
+# once; fewer take the per-argument loop, which is faster there (measured
+# crossover about 48 arguments).  Both give the same bits.
 _ARRAY_MIN_ARGS = 64
 
 
@@ -85,41 +80,22 @@ def _check_order_arg(n: int, z: np.ndarray) -> None:
             raise ValueError(f"argument {rule}, got {z[bad].flat[0]}")
 
 
-def _series_table(n_max: int, z: float) -> list:
-    """J_0(z)..J_{n_max}(z) by the ascending power series, 0 < z <= 12.
+def _leading_terms(n_max: int, z: float) -> list:
+    """(z/2)^n / n! for n = 0..n_max, stopping where it underflows to 0.
 
-    J_n(z) = (z/2)^n/n! * sum_m (-q)^m / (m! (n+1)_m), q = (z/2)^2.
+    For 0 <= z < _TINY_Z, (z/2)^2 < 2^-53, so this is J_n(z) to rounding;
+    z == 0 gives the unit row.  Gradual underflow to 0 is correct because
+    the term is an upper envelope of |J_n|, and it stays 0 for every higher
+    order.
     """
     zh = 0.5 * z
-    q = -(zh * zh)
-    tol = _SERIES_REL_TOL * 1e-4
-    out = [0.0] * (n_max + 1)
-    # prefactor (z/2)^n / n!, carried from order to order; gradual underflow
-    # to 0 is correct because it is an upper envelope of |J_n|, and it stays
-    # 0 for every higher order
-    pref = 1.0
-    for n in range(n_max + 1):
-        if n:
-            pref *= zh / n
-        if pref == 0.0:
+    terms = [1.0]
+    for n in range(1, n_max + 1):
+        term = terms[-1] * (zh / n)
+        if term == 0.0:
             break
-        term = 1.0
-        terms = [term]
-        peak = 1.0
-        m = 0
-        while True:
-            m += 1
-            d = m * (n + m)
-            term = term * q / d
-            terms.append(term)
-            mag = abs(term)
-            # a term that sets a new peak cannot meet the stopping rule
-            if mag > peak:
-                peak = mag
-            elif mag <= tol * peak and d > -q:
-                break
-        out[n] = pref * math.fsum(terms)
-    return out
+        terms.append(term)
+    return terms
 
 
 def _miller_start(n_max: int, z: float) -> int:
@@ -130,9 +106,16 @@ def _miller_start(n_max: int, z: float) -> int:
 
 
 def _miller_table(n_max: int, z: float) -> np.ndarray:
-    """J_0(z)..J_{n_max}(z) by backward recurrence with sum normalization."""
+    """J_0(z)..J_{n_max}(z) by backward recurrence with sum normalization.
+
+    The 1e-250 rescale touches only the stored entries below ``hi``; the
+    entries at and above it are exact zeros, which the rescale leaves as
+    they are, so skipping them keeps the bits where a small z and a high
+    n_max rescale hundreds of times.
+    """
     start = _miller_start(n_max, z)
     out = [0.0] * (n_max + 1)
+    hi = n_max + 1
     j_up = 0.0        # trial J_{k+1}
     j_cur = 1e-300    # trial J_k at k = start
     norm = 0.0        # accumulates J_0 + 2*sum_k J_{2k}
@@ -149,46 +132,10 @@ def _miller_table(n_max: int, z: float) -> np.ndarray:
             j_cur *= 1e-250
             j_up *= 1e-250
             norm *= 1e-250
-            out = [v * 1e-250 for v in out]
+            out[idx:hi] = [v * 1e-250 for v in out[idx:hi]]
+            while hi > idx and out[hi - 1] == 0.0:
+                hi -= 1
     return np.array(out) / norm
-
-
-def _series_rows(n_max: int, z: np.ndarray) -> np.ndarray:
-    """``_series_table`` at every argument of the 1-D array z at once, bitwise.
-
-    Each order carries the prefactor of every argument, runs the term
-    recurrence across the arguments whose prefactor is nonzero until each
-    has met its own stopping rule, and sums exactly the terms the scalar
-    code sums for that argument; ``math.fsum`` is correctly rounded, so the
-    same terms give the same bits.
-    """
-    zh = 0.5 * z
-    q = -(zh * zh)
-    out = np.zeros((z.size, n_max + 1))
-    pref = np.ones(z.size)
-    for n in range(n_max + 1):
-        if n:
-            pref *= zh / n
-        live = np.flatnonzero(pref)
-        if not live.size:
-            break
-        ql = q[live]
-        term = np.ones(live.size)
-        terms = [term]
-        peak = term
-        last = np.full(live.size, -1)   # index of each argument's final term
-        m = 0
-        while (last < 0).any():
-            m += 1
-            term = term * ql / (m * (n + m))
-            terms.append(term)
-            peak = np.maximum(peak, np.abs(term))
-            done = (np.abs(term) <= _SERIES_REL_TOL * 1e-4 * peak) & (m * (n + m) > -ql) & (last < 0)
-            last[done] = m
-        table = np.stack(terms, axis=1).tolist()
-        sums = [math.fsum(row[: k + 1]) for row, k in zip(table, last.tolist())]
-        out[live, n] = pref[live] * np.array(sums)
-    return out
 
 
 def _miller_rows(n_max: int, z: np.ndarray) -> np.ndarray:
@@ -196,12 +143,14 @@ def _miller_rows(n_max: int, z: np.ndarray) -> np.ndarray:
 
     Arguments are sorted by their starting order, so at step k the ones
     whose recurrence has begun form a prefix; each step updates that
-    prefix, and the 1e-250 rescale touches only the arguments that need it.
+    prefix, and the 1e-250 rescale touches only the arguments that need it,
+    and of those only the columns below the shared ``hi``.
     """
     starts = np.array([_miller_start(n_max, zk) for zk in z.tolist()])
     order = np.argsort(-starts, kind="stable")
     zs, starts = z[order], starts[order]
     out = np.zeros((z.size, n_max + 1))
+    hi = n_max + 1
     j_up = np.zeros(z.size)
     j_cur = np.full(z.size, 1e-300)
     norm = np.zeros(z.size)
@@ -221,7 +170,9 @@ def _miller_rows(n_max: int, z: np.ndarray) -> np.ndarray:
             j_cur[big] *= 1e-250
             j_up[big] *= 1e-250
             norm[big] *= 1e-250
-            out[big] *= 1e-250
+            out[big, idx:hi] *= 1e-250
+            while hi > idx and not out[:, hi - 1].any():
+                hi -= 1
     rows = np.empty_like(out)
     rows[order] = out / norm[:, None]
     return rows
@@ -238,18 +189,18 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
     out = np.zeros(z.shape + (n_max + 1,))
     rows = out.reshape(-1, n_max + 1)
     args = z.ravel().tolist()
-    series, miller = [], []
+    miller = []
     for i, zk in enumerate(args):
-        if zk == 0.0:
-            rows[i, 0] = 1.0
+        if zk >= _TINY_Z:
+            miller.append(i)
         else:
-            (series if zk <= _SERIES_Z_CUTOFF else miller).append(i)
-    for idx, table, array_rows in ((series, _series_table, _series_rows), (miller, _miller_table, _miller_rows)):
-        if len(idx) >= _ARRAY_MIN_ARGS:
-            rows[idx] = array_rows(n_max, np.array([args[i] for i in idx]))
-        else:
-            for i in idx:
-                rows[i] = table(n_max, args[i])
+            terms = _leading_terms(n_max, zk)
+            rows[i, : len(terms)] = terms
+    if len(miller) >= _ARRAY_MIN_ARGS:
+        rows[miller] = _miller_rows(n_max, np.array([args[i] for i in miller]))
+    else:
+        for i in miller:
+            rows[i] = _miller_table(n_max, args[i])
     return out
 
 

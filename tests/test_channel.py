@@ -2,6 +2,7 @@
 equivalence, modal noise, input validation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -143,6 +144,40 @@ class TestMakeScatterers:
     def test_non_integer_count_rejected(self, field, args):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make_scatterers(base_cfg(), *args, seed=SEED)
+
+    @pytest.mark.parametrize("seed", [2.5, math.nan, math.inf, 1e308, "7"])
+    def test_non_integer_seed_rejected(self, seed):
+        s = make_scatterers(base_cfg(), 5, 4, seed=SEED)
+        omega = 2 * math.pi * float(s.freq_grid[0])
+        message = re.escape(f"seed must be an integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            make_scatterers(base_cfg(), 5, 4, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            synth_field_circle(s, base_cfg(), 8, omega, with_noise=True, seed=seed)
+
+    def test_negative_seed_rejected(self):
+        s = make_scatterers(base_cfg(), 5, 4, seed=SEED)
+        omega = 2 * math.pi * float(s.freq_grid[0])
+        for seed in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                make_scatterers(base_cfg(), 5, 4, seed=seed)
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                synth_field_circle(s, base_cfg(), 8, omega, with_noise=True, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_int(self):
+        # a numpy integer seed is the same generator seed as the Python int,
+        # for the scatterers and for the node noise
+        cfg = base_cfg()
+        want = make_scatterers(cfg, 5, 4, seed=SEED)
+        omega = 2 * math.pi * float(want.freq_grid[0])
+        noisy = synth_field_circle(want, cfg, 8, omega, with_noise=True, seed=SEED).values
+        for seed in (np.int64(SEED), np.uint32(SEED), np.int16(SEED)):
+            got = make_scatterers(cfg, 5, 4, seed=seed)
+            assert got.angles.tobytes() == want.angles.tobytes()
+            assert got.gains.tobytes() == want.gains.tobytes()
+            assert synth_field_circle(got, cfg, 8, omega, with_noise=True, seed=seed).values.tobytes() == noisy.tobytes()
+        rng = np.random.default_rng(SEED)
+        assert want.angles.tobytes() == rng.uniform(0.0, 2.0 * math.pi, 5).tobytes()
 
 
 class TestModalCoefficients:
@@ -476,7 +511,7 @@ def loop_modal_field(ms, cfg, x, omega):
 
 class TestSynthesisProperties:
     # wave_speed 2 pi puts omega = 2 pi at kr = r, so r sweeps the Bessel
-    # argument across the series / recurrence split at 12
+    # argument over [0, 30], the orders before and after their turning points
     CFG = ChannelConfig(f0=2.0, half_bw=1.0, radius=30.0, obs_time=0.0, wave_speed=2.0 * math.pi)
 
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -437,6 +437,15 @@ class TestClosedFormAgainstScan:
     def test_degenerate_limits(self, kw):
         assert_matches_oracle(worked_cfg(**kw))
 
+    @pytest.mark.parametrize("kw", [dict(wave_speed=1e308, p_max=1000.0), dict(wave_speed=1e308, obs_time=1e-9, p_max=1000.0)])
+    def test_overflowing_scale_defined_without_warning(self, kw):
+        # scale * (n + shift) overflows to inf for orders past N_u: F_n = inf,
+        # a defined result
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_oracle(worked_cfg(**kw))
+            assert total_dof(worked_cfg(**kw)).total == 7.0 * (1.0 + 1e9 * kw.get("obs_time", 0.0))
+
 
 class TestOrderBound:
     @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ Reference values come from an independent high-precision route: an
 ascending power series evaluated with mpmath at 60 digits (written here
 from the series definition, not mpmath's own Bessel), mpmath's own
 ``besselj``, and exact trig and rational identities for the polynomial
-families.  The per-argument Bessel evaluation that the array kernel
-replaced is kept below as the bitwise oracle of the kernel.
+families.  The per-argument Miller recurrence, rescaling its whole partial
+table, is kept below as the bitwise oracle of the kernel.
 """
 
 import math
@@ -45,36 +45,9 @@ def oracle_j(n, z):
         m += 1
 
 
-# The per-argument Bessel evaluation the array kernel replaced, verbatim:
-# _series_j per order for 0 < z <= 12, _miller_table above.
-_SERIES_Z_CUTOFF = 12.0
-_SERIES_REL_TOL = 1e-10
-_SERIES_MAX_TERMS = 1600
-
-
-def _series_j(n: int, z: float) -> float:
-    """Ascending power series J_n(z) = (z/2)^n/n! * sum_m (-q)^m / (m! (n+1)_m)."""
-    if z == 0.0:
-        return 1.0 if n == 0 else 0.0
-    zh = 0.5 * z
-    # prefactor (z/2)^n / n! by iterative product; gradual underflow to 0 is
-    # correct here because the prefactor is an upper envelope of |J_n|
-    pref = 1.0
-    for k in range(1, n + 1):
-        pref *= zh / k
-    if pref == 0.0:
-        return 0.0
-    q = -(zh * zh)
-    term = 1.0
-    terms = [term]
-    peak = 1.0
-    for m in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * q / (m * (n + m))
-        terms.append(term)
-        peak = max(peak, abs(term))
-        if abs(term) <= _SERIES_REL_TOL * 1e-4 * peak and m * (n + m) > -q:
-            return pref * math.fsum(terms)
-    raise ValueError(f"Bessel series did not converge within {_SERIES_MAX_TERMS} terms for n={n}, z={z}")
+# The plain per-argument Miller recurrence, which rescales its whole partial
+# table: the bitwise oracle of the kernel for every z >= 1e-8.
+_TINY_Z = 1e-8
 
 
 def _miller_table(n_max: int, z: float) -> np.ndarray:
@@ -104,36 +77,36 @@ def _miller_table(n_max: int, z: float) -> np.ndarray:
     return out / norm
 
 
-def old_bessel_j_table(n_max: int, z: float) -> np.ndarray:
-    """All of J_0(z)..J_{n_max}(z) in one pass."""
-    n_max = int(n_max)
-    z = float(z)
-    if z == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    if z > _SERIES_Z_CUTOFF:
-        return _miller_table(n_max, z)
-    return np.array([_series_j(n, z) for n in range(n_max + 1)])
+def _leading_terms(n_max: int, z: float) -> np.ndarray:
+    """(z/2)^n / n! for n = 0..n_max by the running product, 0 once it underflows."""
+    out = np.zeros(n_max + 1)
+    pref = 1.0
+    for n in range(n_max + 1):
+        if n:
+            pref *= 0.5 * z / n
+        if pref == 0.0:
+            break
+        out[n] = pref
+    return out
 
 
-def old_table(n_max, z):
-    """The old kernel called once per argument, as its callers did."""
+def oracle_table(n_max, z):
+    """The reference rules called once per argument: Miller at z >= 1e-8, the leading term below."""
     z = np.asarray(z, dtype=float)
-    rows = [old_bessel_j_table(n_max, zk) for zk in z.ravel()]
+    rows = [(_miller_table if zk >= _TINY_Z else _leading_terms)(n_max, float(zk)) for zk in z.ravel()]
     return np.array(rows).reshape(z.shape + (n_max + 1,))
 
 
-# both regimes, both sides of the cutoff, zero and subnormal arguments
+# the cutoff, both sides of it, zero, subnormal and tiny arguments
 _special_z = st.sampled_from(
-    [0.0, 5e-324, 1e-310, 1e-300, 12.0, math.nextafter(12.0, 0.0), math.nextafter(12.0, 13.0)]
+    [0.0, 5e-324, 1e-310, 1e-300, 1e-100, _TINY_Z, math.nextafter(_TINY_Z, 0.0), math.nextafter(_TINY_Z, 1.0), 12.0]
 )
-_series_z = st.one_of(_special_z, st.floats(0.0, 12.0))
-_miller_z = st.floats(12.0, 300.0)
-_any_z = st.one_of(_series_z, _miller_z)
+_tiny_z = st.one_of(_special_z, st.floats(0.0, _TINY_Z))
+_miller_z = st.one_of(st.floats(_TINY_Z, 12.0), st.floats(12.0, 300.0))
+_any_z = st.one_of(_tiny_z, _miller_z)
 
-# arrays on both sides of the per-regime argument count at which the kernel
-# switches from its per-argument loop to its array path
+# arrays on both sides of the argument count at which the kernel switches
+# from its per-argument loop to its array path
 _THRESHOLD = specfun._ARRAY_MIN_ARGS
 _args_either_side = dict(min_size=_THRESHOLD - 3, max_size=2 * _THRESHOLD + 3)
 
@@ -146,7 +119,6 @@ def _table_cases(draw):
             _any_z,
             st.lists(_any_z, min_size=0, max_size=6),
             st.lists(_any_z, min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
-            st.lists(_series_z, **_args_either_side),
             st.lists(_miller_z, **_args_either_side),
             st.lists(_any_z, **_args_either_side),
             st.lists(_any_z, min_size=2 * _THRESHOLD + 2, max_size=2 * _THRESHOLD + 2).map(
@@ -154,8 +126,6 @@ def _table_cases(draw):
             ),
         )
     )
-    # the oracle's series costs O(n_max^2) per argument, so long arrays
-    # take lower orders
     return draw(st.integers(0, 120 if np.size(z) <= 6 else 40)), z
 
 
@@ -180,7 +150,7 @@ class TestBesselValues:
         assert bessel_j(5, 1.0) == pytest.approx(J5_AT_1, rel=1e-13)
 
     def test_frozen_boundary_value(self):
-        # z = 12 sits exactly on the series/recurrence dispatch boundary
+        # z = 12, the top of acceptance criterion 2's range (0, 12]
         assert bessel_j(0, 12.0) == pytest.approx(J0_AT_12, rel=1e-11)
 
     def test_frozen_recurrence_value(self):
@@ -219,7 +189,7 @@ class TestBesselValues:
 
     @pytest.mark.parametrize("n,z", [(300, 150.0), (1000, 500.0), (3000, 1500.0), (194, 97.0)])
     def test_high_order_below_turning_point(self, n, z):
-        # z <= n/2 with z > 12: the recurrence, not the series, is accurate here
+        # z <= n/2 with z > 12: the values before the turning point are tiny
         ref = mp.besselj(n, z)
         got = bessel_j(n, z)
         if abs(ref) < mp.mpf("1e-300"):
@@ -272,25 +242,27 @@ class TestBesselKernel:
     def test_bitwise_equal_to_per_argument_oracle(self, case):
         n_max, z = case
         got = bessel_j_table(n_max, z)
-        want = old_table(n_max, z)
+        want = oracle_table(n_max, z)
         assert got.shape == np.shape(z) + (n_max + 1,)
         assert got.tobytes() == want.tobytes()
 
     def test_array_path_rescale_and_underflow(self):
-        # high orders just above the cutoff drive the recurrence through its
-        # 1e-250 rescale, and tiny series arguments underflow the prefactor
+        # high orders drive the recurrence through its 1e-250 rescale (many
+        # times for small z), and tiny arguments underflow the leading term
         # long before n_max
         rng = np.random.default_rng(SEED + 4)
         for n_max, z in (
             (300, rng.uniform(12.0, 14.0, _THRESHOLD)),
             (150, np.geomspace(1e-300, 1e-3, _THRESHOLD)),
+            (2000, np.geomspace(_TINY_Z, 12.0, _THRESHOLD)),
         ):
-            assert bessel_j_table(n_max, z).tobytes() == old_table(n_max, z).tobytes()
+            assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
 
     def test_scalar_path_rescale_and_underflow(self):
         # the same regimes with fewer arguments than the array threshold,
-        # so each argument runs the per-argument loops; at n_max 300 the
-        # recurrence rescales its partial table by 1e-250 once
+        # so each argument runs the per-argument loops; at n_max 300 and
+        # z = 13 the recurrence rescales its partial table once, at n_max
+        # 10^4 it rescales about 40 times at z = 13 and thousands at 1e-7
         rng = np.random.default_rng(SEED + 5)
         for n_max, z in (
             (300, rng.uniform(12.0, 14.0, 1)),
@@ -298,19 +270,78 @@ class TestBesselKernel:
             (300, 13.0),
             (150, np.geomspace(1e-300, 1e-3, 5)),
             (150, 1e-200),
+            (10_000, 13.0),
+            (10_000, 1e-7),
         ):
             assert np.size(z) < _THRESHOLD
-            assert bessel_j_table(n_max, z).tobytes() == old_table(n_max, z).tobytes()
+            assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n_max=st.integers(120, 250), z=st.one_of(st.floats(1e-3, 12.0), st.floats(12.0, 300.0)))
     def test_bitwise_at_synthesis_orders(self, n_max, z):
         # one argument over as many orders as a modal synthesis asks for
-        assert bessel_j_table(n_max, z).tobytes() == old_table(n_max, z).tobytes()
+        assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
 
     def test_scalar_reads_the_table(self):
         for n, z in ((0, 0.0), (7, 3.5), (40, 12.0), (60, 40.0)):
             assert bessel_j(n, z) == bessel_j_table(n, z)[n]
+
+
+def _worst_errors(n_max, z):
+    """Largest absolute error, and relative error where |J| > 1e-3, of the kernel against mpmath's J_n."""
+    got = bessel_j_table(n_max, z)
+    assert np.isfinite(got).all()
+    worst_abs = worst_rel = 0.0
+    for zk, row in zip(z, got):
+        for n in range(n_max + 1):
+            ref = mp.besselj(n, mp.mpf(float(zk)))
+            err = abs(mp.mpf(float(row[n])) - ref)
+            worst_abs = max(worst_abs, float(err))
+            if abs(ref) > 1e-3:
+                worst_rel = max(worst_rel, float(err / abs(ref)))
+    return worst_abs, worst_rel
+
+
+class TestBesselAccuracy:
+    """The kernel against mpmath over z in (0, 12], orders 0..40, both sides of the 1e-8 cutoff."""
+
+    def test_recurrence_range(self):
+        # the range where an ascending series loses digits to cancellation;
+        # 40 arguments take the per-argument loop, 80 the array path
+        rng = np.random.default_rng(SEED + 6)
+        for count in (40, 80):
+            z = np.concatenate([rng.uniform(0.0, 12.0, count - 4), [_TINY_Z, 1e-6, 1e-3, 12.0]])
+            worst_abs, worst_rel = _worst_errors(40, z)
+            assert worst_abs <= 1e-15
+            assert worst_rel <= 1e-13
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            5e-324,
+            1e-320,
+            1e-300,
+            1e-200,
+            1e-100,
+            1e-30,
+            math.nextafter(_TINY_Z, 0.0),
+            _TINY_Z,
+            math.nextafter(_TINY_Z, 1.0),
+        ],
+    )
+    def test_tiny_arguments_and_cutoff(self, z):
+        # the leading term below the cutoff, Miller at and above it; each
+        # entry finite and equal to mpmath to rounding where it is a normal
+        # float
+        worst_abs, worst_rel = _worst_errors(40, [z])
+        assert worst_abs <= 1e-15 and worst_rel <= 1e-13
+        tab = bessel_j_table(40, z)
+        for n in range(41):
+            ref = mp.besselj(n, mp.mpf(z))
+            if abs(ref) > 1e-290:
+                assert abs(tab[n] - ref) / abs(ref) <= 1e-13
+
+
 class TestBesselDomain:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="reflection"):

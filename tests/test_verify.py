@@ -439,6 +439,20 @@ class TestTimeSupport:
         with pytest.raises(ValueError, match="order must be an integer"):
             time_support_check(n, 0.1, wide_cfg())
 
+    def test_order_bound_is_inside_the_band(self):
+        # the highest accepted order turns on well inside the band and
+        # still measures a compact kernel
+        bound = verify._TS_MAX_ORDER
+        assert bound == 180 == int(0.9 * verify._TS_KR_MAX)
+        cfg = ChannelConfig(**DEFAULT_CONFIG)
+        for n in (bound, -bound):
+            assert time_support_check(n, 0.1, cfg).leakage < 1e-5
+
+    @pytest.mark.parametrize("n", [181, -181, 250, 10_000])
+    def test_order_past_the_band_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"order must satisfy \|order\| <= 180, 0.9 of the band edge kR = 200, got {n}"):
+            time_support_check(n, 0.1, ChannelConfig(**DEFAULT_CONFIG))
+
     @pytest.mark.parametrize("radius", [0.1, 0.37])
     @pytest.mark.parametrize("n", [0, 1, 4, 8])
     def test_blocks_bitwise_equal_to_dense_transform(self, n, radius):
