@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,8 @@ class ChannelConfig:
         return 2.0 * math.pi * self.band_high / self.wave_speed
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in declaration order; the values themselves, not copies."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def symmetric_orders(n_max: int) -> np.ndarray:

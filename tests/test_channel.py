@@ -1,6 +1,7 @@
 """Field model tests: config validation, scatterer statistics, synthesis
 equivalence, modal noise, input validation."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -91,6 +92,11 @@ class TestChannelConfig:
         # the sweep rebuilds each point's config from to_dict()
         cfg = base_cfg(gamma=2.5, p_max=3.0)
         assert ChannelConfig(**cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("kw", [{}, dict(f0=np.float64(2.4e9), radius=np.float64(0.25), gamma=np.float32(2.0))])
+    def test_dict_is_asdict(self, kw):
+        cfg = base_cfg(**kw)
+        assert list(cfg.to_dict().items()) == list(dataclasses.asdict(cfg).items())
 
 
 class TestMakeScatterers:

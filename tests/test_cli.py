@@ -185,6 +185,7 @@ class TestRejectedInputs:
             (["tables", "--kind", "bessel", "--orders", "0", "--samples", "100000000"], None, "<= 4194304 cells"),
             (["tables", "--kind", "bessel", "--orders", "10000", "--samples", "420"], None, "420 * 10001"),
             (["tables", "--kind", "chebyshev", "--orders", "1", "2", "2", "--samples", "1048577"], None, "* 4 ="),
+            (["simulate", "--seed", "-1", "--num-trials", "150"], None, "seed must be >= 0, got -1"),
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, config, named):
@@ -503,18 +504,44 @@ class TestReportWriters:
         assert_writers_match_oracle(ChannelConfig(**{**cli.DEFAULT_CONFIG, "radius": 0.0}), out)
         assert_writers_match_oracle(ChannelConfig(**cli.DEFAULT_CONFIG), out)
 
+    @pytest.mark.parametrize(
+        "block,stitch,n_upper",
+        # N_u one below, at and one above a block of orders |n|, and past two
+        # blocks; small blocks are stitched in chunks that do not divide them
+        [(b, s, n) for b, s in ((dofcore._ROW_BLOCK, dofcore._STITCH_ROWS), (1, 3), (2, 3), (7, 3))
+         for n in (b - 1, b, b + 1, 2 * b + 1) if n >= 1],
+    )
+    def test_orders_around_the_block_size(self, tmp_path, block, stitch, n_upper):
+        cfg = cfg_with_orders(n_upper, obs_time=2e-9)
+        with mock.patch.object(dofcore, "_ROW_BLOCK", block), mock.patch.object(dofcore, "_STITCH_ROWS", stitch):
+            assert_writers_match_oracle(cfg, tmp_path)
+            # the JSON writer opens the list with the first block's text
+            assert all(dofcore.total_dof(cfg).csv_blocks())
+
     def test_traced_peak_is_the_columns_plus_one_block(self, tmp_path, capsys):
         # R = 251 m gives 40,019 rows; the rows before the change held 1.35 kB each
-        argv = ["analyze", "--radius", "251", "--out", str(tmp_path)]
-        rows = dofcore.total_dof(ChannelConfig(**{**cli.DEFAULT_CONFIG, "radius": 251.0})).n.size
+        rows, peak = traced_analyze_peak(tmp_path, 251.0)
         assert rows >= 40_000 > 4 * dofcore._ROW_BLOCK
-        main(argv)
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # four 8-byte columns, plus one block of text and the numbers it is
         # formatted from (measured 575 B per row of the block)
         assert peak < 4 * 8 * rows + 640 * dofcore._ROW_BLOCK
+
+    def test_traced_peak_of_a_single_block(self, tmp_path, capsys):
+        # R = 99 m gives N_u = 7,895 < _ROW_BLOCK: one block of orders serves both signs
+        rows, peak = traced_analyze_peak(tmp_path, 99.0)
+        assert rows == 2 * 7_895 - 1
+        assert peak < 4 * 8 * rows + 640 * dofcore._ROW_BLOCK
+
+
+def traced_analyze_peak(out, radius):
+    """(rows, tracemalloc peak) of a second ``analyze`` at ``radius``, after one untraced run."""
+    argv = ["analyze", "--radius", repr(radius), "--out", str(out)]
+    rows = dofcore.total_dof(ChannelConfig(**{**cli.DEFAULT_CONFIG, "radius": radius})).n.size
+    main(argv)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rows, peak

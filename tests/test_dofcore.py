@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wavedof.channel import ChannelConfig
@@ -445,6 +445,18 @@ class TestClosedFormAgainstScan:
             warnings.simplefilter("error")
             assert_matches_oracle(worked_cfg(**kw))
             assert total_dof(worked_cfg(**kw)).total == 7.0 * (1.0 + 1e9 * kw.get("obs_time", 0.0))
+
+
+class TestOrderSymmetry:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cfg=budget_configs())
+    @example(cfg=worked_cfg(radius=0.0))
+    @example(cfg=worked_cfg(p_max=0.0))
+    def test_columns_bitwise_even_in_n(self, cfg):
+        # the report writers format each order's text once for -n and +n
+        rep = total_dof(cfg)
+        for col in (rep.f_crit, rep.w_eff, rep.dof):
+            assert col.tobytes() == col[::-1].tobytes()
 
 
 class TestOrderBound:

@@ -184,6 +184,10 @@ class TestTrialPlan:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrialPlan(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrialPlan(seed=-1, num_trials=150)
+
     def test_numpy_integers_stored_as_int(self):
         p = TrialPlan(num_trials=np.int64(300), seed=np.uint32(5))
         assert type(p.num_trials) is int and type(p.seed) is int
