@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _MAX_ORDER, _order_index, bessel_j_table
+from .specfun import _MAX_ORDER, _int_arg, bessel_j_table
 
 __all__ = [
     "ChannelConfig",
@@ -205,24 +205,12 @@ def make_scatterers(cfg: ChannelConfig, num_scatterers: int, num_freqs: int, see
     p_max at every frequency.  The grid spans [band_low, band_high].
     Deterministic for a given seed.
     """
-    num_scatterers = _order_index(num_scatterers, "num_scatterers")
-    num_freqs = _order_index(num_freqs, "num_freqs")
-    if num_scatterers < 1:
-        raise ValueError(f"num_scatterers must be >= 1, got {num_scatterers}")
-    if num_freqs < 2:
-        raise ValueError(f"num_freqs must be >= 2, got {num_freqs}")
-    rng = _seeded_rng(seed)
+    num_scatterers = _int_arg(num_scatterers, "num_scatterers", lo=1)
+    num_freqs = _int_arg(num_freqs, "num_freqs", lo=2)
+    rng = np.random.default_rng(_int_arg(seed, "seed", lo=0))
     angles = rng.uniform(0.0, 2.0 * math.pi, num_scatterers)
     gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (num_scatterers, num_freqs))
     return ScattererSet(angles=angles, gains=gains, freq_grid=np.linspace(cfg.band_low, cfg.band_high, num_freqs))
-
-
-def _seeded_rng(seed) -> np.random.Generator:
-    """A generator from an integer seed >= 0; anything else is a ValueError naming ``seed``."""
-    seed = _order_index(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
 
 
 def _gain_scale(cfg: ChannelConfig, num_scatterers: int) -> float:
@@ -284,12 +272,8 @@ def modal_coefficients(s: ScattererSet, n_max: int) -> ModalSpectrum:
     The discrete-angle ensemble turns the angular transform of the gain
     density into an exact sum.
     """
-    n_max = _order_index(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    # synth_field_modal evaluates Bessel orders up to this bound
-    if n_max > _MAX_ORDER:
-        raise ValueError(f"n_max must be <= {_MAX_ORDER}, got {n_max}")
+    # synth_field_modal evaluates Bessel orders up to the upper bound
+    n_max = _int_arg(n_max, "n_max", lo=0, hi=_MAX_ORDER)
     orders = symmetric_orders(n_max)
     kernel = np.exp(-1j * np.outer(orders, s.angles))
     return ModalSpectrum(orders=orders, coeffs=kernel @ s.gains, freq_grid=s.freq_grid)
@@ -303,6 +287,9 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
     evaluated argument.
     """
     r, phi = _check_position(cfg, x, omega)
+    if abs(phi) > 2.0 * math.pi:
+        # n * phi overflows for a huge phi; the remainder is exact, and |phi| <= 2 pi keeps its bits
+        phi = math.remainder(phi, 2.0 * math.pi)
     idx = _grid_index(ms.freq_grid, omega)
     z = omega * r / cfg.wave_speed
     # at z = 0 only order 0 contributes, so any stored range suffices
@@ -356,16 +343,12 @@ def synth_field_circle(
     Node noise follows the white-process discretization (variance
     noise_var * M / (2pi) per node).
     """
-    num_nodes = _order_index(num_nodes, "num_nodes")
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+    num_nodes = _int_arg(num_nodes, "num_nodes", lo=1)
     nodes = _circle_nodes(num_nodes)
     idx = _grid_index(s.freq_grid, omega)
     values = _planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * cfg.radius, nodes[:, None])
     if with_noise:
-        if seed is None:
-            raise ValueError("seed is required when with_noise is set")
-        rng = _seeded_rng(seed)
+        rng = np.random.default_rng(_int_arg(seed, "seed", lo=0))
         values = values + _white_circle_noise(cfg, rng, (num_nodes,))
     positions = np.column_stack([np.full(num_nodes, cfg.radius), nodes])
     return FieldSamples(

@@ -272,14 +272,14 @@ def cmd_tables(args, file_vals: dict) -> int:
             f"samples * columns must be <= {_MAX_TABLE_CELLS} cells, "
             f"got {args.samples} * {columns} = {args.samples * columns}"
         )
+    if args.kind == "bessel" and not 0.0 < args.z_max < np.inf:
+        raise CliError(f"z-max must be positive and finite, got {args.z_max}")
     manifest = _manifest(args, "tables")
     out = _out_dir(args)
     n_top = max(orders)
     params: dict = {"kind": args.kind, "orders": list(orders), "samples": args.samples}
 
     if args.kind == "bessel":
-        if not 0.0 < args.z_max < np.inf:
-            raise CliError(f"z-max must be positive and finite, got {args.z_max}")
         params["z_max"] = args.z_max
         grid = np.linspace(0.0, args.z_max, args.samples)
         table = bessel_j_table(n_top, grid)

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .channel import ChannelConfig
-from .specfun import _order_index
+from .specfun import _int_arg
 
 __all__ = [
     "SnrBound",
@@ -123,7 +123,7 @@ def critical_frequency(cfg: ChannelConfig, n: int) -> float:
     inf when the channel is silent (p_max == 0) or the region is a point
     (R == 0, except order 0 at gamma <= snr_max, which stays usable).
     """
-    return float(_f_crit(cfg, abs(_order_index(n))))
+    return float(_f_crit(cfg, abs(_int_arg(n))))
 
 
 def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
@@ -133,7 +133,7 @@ def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
     Bessel envelope; meaningful in the evanescent regime
     2 pi f R / c < n.
     """
-    n = abs(_order_index(n))
+    n = abs(_int_arg(n))
     if not 0.0 <= freq < math.inf:
         raise ValueError(f"freq must be finite and >= 0, got {freq}")
     s = snr_max(cfg)
@@ -183,7 +183,7 @@ def effective_bandwidth(cfg: ChannelConfig, n: int) -> float:
     band above their critical frequency, and nothing once the critical
     frequency clears the band edge.  Even in |n|.
     """
-    n = abs(_order_index(n))
+    n = abs(_int_arg(n))
     return float(_usable_band(cfg, n, critical_frequency(cfg, n)))
 
 

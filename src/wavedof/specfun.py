@@ -58,19 +58,29 @@ class StirlingBound(NamedTuple):
     value: float
 
 
-def _order_index(n, name: str = "order") -> int:
-    """An integer input as a Python int; numpy integers pass, a float or string is a ValueError naming ``name``."""
+def _int_arg(value, name: str = "order", lo: int | None = None, hi: int | None = None) -> int:
+    """An integer argument as a Python int, checked against ``lo <= value <= hi`` where given.
+
+    Python and numpy integers pass.  Booleans, floats, strings, None and
+    values outside the bounds are a ValueError naming ``name``.
+    """
     try:
-        return operator.index(n)
+        n = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+        n = None
+    # bool is an int subclass, but True is no count, seed or order
+    if n is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {n}")
+    return n
 
 
 def _check_order_arg(n: int, z: np.ndarray) -> None:
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n} (use the reflection identity for negative orders)")
-    if n > _MAX_ORDER:
-        raise ValueError(f"order must be <= {_MAX_ORDER}, got {n}")
     for bad, rule in (
         (z < 0.0, "must be >= 0 (use the reflection identity for negative arguments)"),
         (~np.isfinite(z), "must be finite"),
@@ -183,7 +193,7 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
 
     Domain: integer 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an array.
     """
-    n_max = _order_index(n_max)
+    n_max = _int_arg(n_max, hi=_MAX_ORDER)
     z = np.asarray(z, dtype=float)
     _check_order_arg(n_max, z)
     out = np.zeros(z.shape + (n_max + 1,))
@@ -214,12 +224,8 @@ def _chebyshev(n, z, first_step: float):
 
     ``z`` is a scalar (float result) or an array (array result, elementwise).
     """
-    n = _order_index(n)
+    n = _int_arg(n, lo=0, hi=_MAX_ORDER)
     z_arr = np.asarray(z, dtype=float)
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if n > _MAX_ORDER:
-        raise ValueError(f"degree must be <= {_MAX_ORDER}, got {n}")
     outside = ~(np.abs(z_arr) <= 1.0)
     if outside.any():
         raise ValueError(f"Chebyshev polynomials are defined on [-1, 1], got {z_arr[outside][0]}")
@@ -248,9 +254,7 @@ def stirling_gamma_lower(n: int) -> StirlingBound:
     Computed in the log domain; the linear value is +inf when it exceeds
     the float range.
     """
-    n = _order_index(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _int_arg(n, lo=1)
     log_val = 0.5 * math.log(2.0 * math.pi * n) + n * math.log(n) - n
     value = math.exp(log_val) if log_val <= 709.0 else math.inf
     return StirlingBound(log_value=log_val, value=value)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +32,7 @@ from .channel import (
     symmetric_orders,
 )
 from .dofcore import critical_frequency, truncation_order
-from .specfun import _order_index, bessel_j_table
+from .specfun import _int_arg, bessel_j_table
 
 __all__ = [
     "TrialPlan",
@@ -71,28 +70,20 @@ class TrialPlan:
     freq_samples: int = 257
 
     def __post_init__(self):
-        for name in ("num_trials", "circle_samples", "seed", "n_probe", "freq_samples"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # num_trials and circle_samples get their bounds below, in messages that give the reason
+        lower = {"num_trials": None, "circle_samples": None, "seed": 0, "n_probe": 0, "freq_samples": 2}
+        for name, lo in lower.items():
+            object.__setattr__(self, name, _int_arg(getattr(self, name), name, lo=lo))
         if self.num_trials < _MIN_STATISTICAL_TRIALS:
             raise ValueError(
                 f"statistical checks need num_trials >= {_MIN_STATISTICAL_TRIALS}, "
                 f"got {self.num_trials}"
             )
-        if self.n_probe < 0:
-            raise ValueError(f"n_probe must be >= 0, got {self.n_probe}")
         if self.circle_samples < 2 * self.n_probe + 2:
             raise ValueError(
                 f"circle_samples={self.circle_samples} aliases orders up to "
                 f"{self.n_probe}; need at least {2 * self.n_probe + 2}"
             )
-        if self.freq_samples < 2:
-            raise ValueError(f"freq_samples must be >= 2, got {self.freq_samples}")
         rows = max(self.num_trials, 2 * self.n_probe + 1)
         cols = max(self.circle_samples, self.freq_samples)
         if rows * cols > _MAX_PLAN_CELLS:
@@ -136,11 +127,9 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     n - m is a nonzero multiple of M the quadrature aliases to 2pi and the
     residual shows it.
     """
-    n = _order_index(n, "n")
-    m = _order_index(m, "m")
-    num_samples = _order_index(num_samples, "num_samples")
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    n = _int_arg(n, "n")
+    m = _int_arg(m, "m")
+    num_samples = _int_arg(num_samples, "num_samples", lo=1)
     quad = (2.0 * math.pi / num_samples) * np.sum(np.exp(1j * (n - m) * _circle_nodes(num_samples)))
     expected = 2.0 * math.pi if n == m else 0.0
     return float(abs(quad - expected))
@@ -164,6 +153,7 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     at its envelope p_max, so the estimate probes the detectability bound
     below the physical band as well as inside it.
     """
+    n = _int_arg(n)
     if cfg.noise_var == 0.0:
         raise ValueError("empirical SNR is undefined for noise_var == 0")
     if not 0.0 < f_edge <= cfg.band_high * (1.0 + 1e-9):
@@ -187,7 +177,7 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     sig = np.einsum("tk,k->t", rng.standard_exponential(shape), cfg.p_max * w * j_row**2)
     den = np.einsum("tk,k->t", rng.standard_exponential(shape), cfg.noise_var * w)
     snr_hat = float(np.mean(sig) / np.mean(den))
-    return SnrEstimate(n=int(n), f_edge=float(f_edge), snr_hat=snr_hat, stderr=_ratio_stderr(sig, den))
+    return SnrEstimate(n=n, f_edge=float(f_edge), snr_hat=snr_hat, stderr=_ratio_stderr(sig, den))
 
 
 def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResult]:
@@ -373,7 +363,7 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
     symmetrically keeps the leakage fraction comparable across orders,
     which turn on at different frequencies.
     """
-    n = _order_index(n)
+    n = _int_arg(n)
     if abs(n) > _TS_MAX_ORDER:
         raise ValueError(
             f"order must satisfy |order| <= {_TS_MAX_ORDER}, 0.9 of the band edge kR = {_TS_KR_MAX:g}, got {n}"

@@ -309,6 +309,19 @@ class TestFieldSynthesis:
             else:
                 synth_field_modal(modal_coefficients(s, 3), cfg, (r, phi), omega)
 
+    @pytest.mark.parametrize("phi", [1e308, -1e308])
+    def test_huge_angle_reduced_exactly(self, phi):
+        # n * phi overflowed to a nan+nanj field; the exact remainder keeps it finite
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 5, 3, seed=SEED)
+        ms = modal_coefficients(s, modal_truncation_order(cfg))
+        omega = 2 * math.pi * float(s.freq_grid[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = synth_field_modal(ms, cfg, (cfg.radius, phi), omega)
+            reduced = synth_field_modal(ms, cfg, (cfg.radius, math.remainder(phi, 2 * math.pi)), omega)
+        assert np.isfinite(value) and value == reduced
+
     def test_off_grid_frequency(self):
         cfg = base_cfg()
         s = make_scatterers(cfg, 5, 3, seed=SEED)

@@ -392,6 +392,13 @@ class TestTables:
         ])
         assert code == 2
 
+    def test_bad_z_max_creates_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        code = main(["tables", "--kind", "bessel", "--orders", "0", "1", "--z-max", "-1", "--out", str(out)])
+        assert code == 2
+        assert "z-max" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParser:
     def test_built_once(self):

@@ -1,0 +1,153 @@
+"""The integer-argument contract of the public entry points.
+
+Every parameter annotated ``int`` takes Python and numpy integers, and the
+result does not depend on which; booleans, floats, strings, None and
+out-of-range integers raise a ValueError that names the parameter.  One
+table lists every such parameter, and a guard keeps the table complete.
+"""
+
+import inspect
+import math
+import pickle
+import re
+import warnings
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wavedof
+from wavedof import (
+    ChannelConfig,
+    TrialPlan,
+    bessel_j,
+    bessel_j_table,
+    chebyshev_first_kind,
+    chebyshev_second_kind,
+    critical_frequency,
+    effective_bandwidth,
+    empirical_order_snr,
+    make_scatterers,
+    modal_coefficients,
+    orthogonality_check,
+    snr_upper_bound,
+    stirling_gamma_lower,
+    synth_field_circle,
+    time_support_check,
+)
+
+CFG = ChannelConfig(f0=1.5e9, half_bw=1.3e9, radius=0.1, obs_time=0.0, wave_speed=3e8, p_max=1000.0)
+SCATTERERS = make_scatterers(CFG, 6, 3, seed=1)
+OMEGA = 2.0 * math.pi * float(SCATTERERS.freq_grid[1])
+SMALL_PLAN = TrialPlan(num_trials=100, circle_samples=8, n_probe=3, freq_samples=16)
+HUGE = 10**400
+
+
+class IntParam(NamedTuple):
+    owner: str              # the entry point's name in the wavedof namespace
+    param: str
+    label: str              # the name its ValueError gives
+    call: Callable          # the entry point with the value in that parameter
+    accepted: range         # small accepted values
+    rejected: tuple         # out-of-range integers, never run
+
+
+INT_PARAMS = [
+    IntParam("bessel_j", "n", "order", lambda v: bessel_j(v, 1.5), range(0, 31), (-1, 10_001, HUGE, -HUGE)),
+    IntParam("bessel_j_table", "n_max", "order", lambda v: bessel_j_table(v, [0.0, 1.5, 20.0]), range(0, 31),
+             (-1, 10_001, HUGE, -HUGE)),
+    IntParam("chebyshev_first_kind", "n", "order", lambda v: chebyshev_first_kind(v, 0.3), range(0, 31),
+             (-1, 10_001, HUGE, -HUGE)),
+    IntParam("chebyshev_second_kind", "n", "order", lambda v: chebyshev_second_kind(v, 0.3), range(0, 31),
+             (-1, 10_001, HUGE, -HUGE)),
+    IntParam("stirling_gamma_lower", "n", "order", stirling_gamma_lower, range(1, 101), (0, -1, -HUGE)),
+    IntParam("critical_frequency", "n", "order", lambda v: critical_frequency(CFG, v), range(-30, 31), ()),
+    IntParam("effective_bandwidth", "n", "order", lambda v: effective_bandwidth(CFG, v), range(-30, 31), ()),
+    IntParam("snr_upper_bound", "n", "order", lambda v: snr_upper_bound(CFG, v, 1e9), range(-30, 31), ()),
+    IntParam("make_scatterers", "num_scatterers", "num_scatterers", lambda v: make_scatterers(CFG, v, 3, seed=1),
+             range(1, 9), (0, -1, -HUGE)),
+    IntParam("make_scatterers", "num_freqs", "num_freqs", lambda v: make_scatterers(CFG, 4, v, seed=1),
+             range(2, 9), (1, 0, -HUGE)),
+    IntParam("make_scatterers", "seed", "seed", lambda v: make_scatterers(CFG, 4, 3, seed=v), range(0, 101),
+             (-1, -HUGE)),
+    IntParam("modal_coefficients", "n_max", "n_max", lambda v: modal_coefficients(SCATTERERS, v), range(0, 21),
+             (-1, 10_001, HUGE, -HUGE)),
+    IntParam("synth_field_circle", "num_nodes", "num_nodes", lambda v: synth_field_circle(SCATTERERS, CFG, v, OMEGA),
+             range(1, 17), (0, -HUGE)),
+    IntParam("synth_field_circle", "seed", "seed",
+             lambda v: synth_field_circle(SCATTERERS, CFG, 8, OMEGA, with_noise=True, seed=v), range(0, 101),
+             (-1, -HUGE)),
+    IntParam("orthogonality_check", "n", "n", lambda v: orthogonality_check(v, 2, 16), range(-20, 21), ()),
+    IntParam("orthogonality_check", "m", "m", lambda v: orthogonality_check(3, v, 16), range(-20, 21), ()),
+    IntParam("orthogonality_check", "num_samples", "num_samples", lambda v: orthogonality_check(3, 2, v),
+             range(1, 65), (0, -HUGE)),
+    IntParam("time_support_check", "n", "order", lambda v: time_support_check(v, 0.1, CFG), range(-8, 9),
+             (181, -181, HUGE, -HUGE)),
+    IntParam("empirical_order_snr", "n", "order", lambda v: empirical_order_snr(SMALL_PLAN, CFG, v, 1e9),
+             range(-8, 9), (10_001, -10_001, HUGE)),
+    IntParam("TrialPlan", "num_trials", "num_trials", lambda v: TrialPlan(num_trials=v), range(100, 301),
+             (99, 0, 2**24 // 257 + 1, HUGE, -HUGE)),
+    IntParam("TrialPlan", "circle_samples", "circle_samples", lambda v: TrialPlan(circle_samples=v), range(34, 129),
+             (33, 0, HUGE, -HUGE)),
+    IntParam("TrialPlan", "seed", "seed", lambda v: TrialPlan(seed=v), range(0, 101), (-1, -HUGE)),
+    IntParam("TrialPlan", "n_probe", "n_probe", lambda v: TrialPlan(n_probe=v), range(0, 17), (-1, -HUGE)),
+    IntParam("TrialPlan", "freq_samples", "freq_samples", lambda v: TrialPlan(freq_samples=v), range(2, 301),
+             (1, 0, HUGE, -HUGE)),
+]
+IDS = [f"{p.owner}.{p.param}" for p in INT_PARAMS]
+
+NON_INTEGERS = (2.0, 2.5, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, "3", None)
+INT_TYPES = (int, np.int8, np.int64, np.uint32)
+
+# records the library builds and returns, not entry points that take input
+RESULT_RECORDS = {("DofReport", "n_upper")}
+
+
+def _not_an_integer(p: IntParam, value) -> str:
+    return rf"^{p.label} must be an integer, got {re.escape(repr(value))}$"
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool_"])
+@pytest.mark.parametrize("p", INT_PARAMS, ids=IDS)
+def test_booleans_rejected(p, value):
+    with pytest.raises(ValueError, match=_not_an_integer(p, value)):
+        p.call(value)
+
+
+def _fits(kind, value: int) -> bool:
+    return kind is int or np.iinfo(kind).min <= value <= np.iinfo(kind).max
+
+
+@pytest.mark.parametrize("p", INT_PARAMS, ids=IDS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_contract(p, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if data.draw(st.booleans(), label="accepted"):
+            value = data.draw(st.sampled_from(p.accepted), label="value")
+            kind = data.draw(st.sampled_from([k for k in INT_TYPES if _fits(k, value)]), label="type")
+            # pickled whole, so a numpy integer left in a result shows as well as a changed value
+            assert pickle.dumps(p.call(kind(value))) == pickle.dumps(p.call(value))
+        else:
+            bad = data.draw(st.sampled_from(NON_INTEGERS + p.rejected), label="bad")
+            match = re.escape(p.label) if type(bad) is int else _not_an_integer(p, bad)
+            with pytest.raises(ValueError, match=match):
+                p.call(bad)
+
+
+def test_every_int_parameter_is_in_the_table():
+    # a new entry point with an integer parameter has to join the table above
+    annotations = {int, "int", int | None, "int | None"}
+    found = set()
+    for name in dir(wavedof):
+        obj = getattr(wavedof, name)
+        if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.annotation in annotations:
+                found.add((name, param.name))
+    assert found - RESULT_RECORDS == {(p.owner, p.param) for p in INT_PARAMS}
+    assert RESULT_RECORDS <= found
