@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if not math.isfinite(value):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.f0 > self.half_bw > 0.0:
             raise ValueError(f"band must satisfy f0 > half_bw > 0, got f0={self.f0}, half_bw={self.half_bw}")
@@ -91,6 +92,14 @@ class ChannelConfig:
     def to_dict(self) -> dict:
         """The fields by name, in declaration order; the values themselves, not copies."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
+def _is_finite(value) -> bool:
+    """math.isfinite, False for an integer past the float range instead of an OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def symmetric_orders(n_max: int) -> np.ndarray:
@@ -164,9 +173,15 @@ class ModalSpectrum:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coeffs must be finite")
 
-    @property
+    @cached_property
     def n_max(self) -> int:
         return int(self.orders.max())
+
+    @cached_property
+    def _synthesis_factors(self) -> tuple:
+        """(|n|, the sign in J_{-n} = (-1)^n J_n, i^n, i n) per order, for synth_field_modal."""
+        n = self.orders
+        return np.abs(n), np.where((n < 0) & (n % 2 == 1), -1.0, 1.0), _I_POWERS[n % 4], 1j * n
 
     def order_row(self, n: int) -> np.ndarray:
         """Coefficient row alpha_n(freq_grid) for a single order."""
@@ -224,11 +239,14 @@ def _complex_normal(rng: np.random.Generator, scale: float, shape: tuple) -> np.
 
 
 def _grid_index(freq_grid: np.ndarray, omega: float) -> int:
-    f = omega / (2.0 * math.pi)
-    idx = int(np.argmin(np.abs(freq_grid - f)))
-    scale = max(abs(freq_grid[-1]), 1.0)
+    try:
+        f = omega / (2.0 * math.pi)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"omega must be finite, got {omega}") from None
+    idx = int(np.abs(freq_grid - f).argmin())
+    scale = max(abs(freq_grid.item(-1)), 1.0)
     # written so that a NaN frequency fails the test
-    if not abs(freq_grid[idx] - f) <= 1e-9 * scale:
+    if not abs(freq_grid.item(idx) - f) <= 1e-9 * scale:
         raise ValueError(f"frequency {f} Hz is not on the grid")
     return idx
 
@@ -237,7 +255,7 @@ def _check_position(cfg: ChannelConfig, x: tuple[float, float], omega: float) ->
     """(r, phi) of a field point: r, phi and omega finite, 0 <= r <= radius."""
     r, phi = x
     for name, v in (("r", r), ("phi", phi), ("omega", omega)):
-        if not math.isfinite(v):
+        if not _is_finite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     if r < 0.0:
         raise ValueError(f"r must be >= 0, got {r}")
@@ -301,10 +319,9 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
             RuntimeWarning,
             stacklevel=2,
         )
-    n = ms.orders
-    # J_{-n} = (-1)^n J_n
-    j_n = np.where((n < 0) & (n % 2 == 1), -1.0, 1.0) * bessel_j_table(ms.n_max, z)[np.abs(n)]
-    return complex(np.sum(_I_POWERS[n % 4] * ms.coeffs[:, idx] * j_n * np.exp(1j * n * phi)))
+    abs_n, sign, i_pow, i_n = ms._synthesis_factors
+    j_n = sign * bessel_j_table(ms.n_max, z)[abs_n]
+    return complex((i_pow * ms.coeffs[:, idx] * j_n * np.exp(i_n * phi)).sum())
 
 
 def _circle_nodes(num_samples: int) -> np.ndarray:

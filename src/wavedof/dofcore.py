@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .channel import ChannelConfig
-from .specfun import _int_arg
+from .specfun import _MAX_FLOAT_ORDER, _int_arg
 
 __all__ = [
     "SnrBound",
@@ -103,6 +103,11 @@ def _crit_line(cfg: ChannelConfig) -> tuple[float, float] | None:
     return cfg.wave_speed / (_E_PI * cfg.radius), shift
 
 
+def _signed_order(n) -> int:
+    """An order of either sign, |n| <= 2^53."""
+    return _int_arg(n, lo=-_MAX_FLOAT_ORDER, hi=_MAX_FLOAT_ORDER)
+
+
 def _f_crit(cfg: ChannelConfig, n):
     """F_n for nonnegative orders n, an int or an array; see critical_frequency."""
     line = _crit_line(cfg)
@@ -123,7 +128,7 @@ def critical_frequency(cfg: ChannelConfig, n: int) -> float:
     inf when the channel is silent (p_max == 0) or the region is a point
     (R == 0, except order 0 at gamma <= snr_max, which stays usable).
     """
-    return float(_f_crit(cfg, abs(_int_arg(n))))
+    return float(_f_crit(cfg, abs(_signed_order(n))))
 
 
 def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
@@ -133,7 +138,7 @@ def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
     Bessel envelope; meaningful in the evanescent regime
     2 pi f R / c < n.
     """
-    n = abs(_int_arg(n))
+    n = abs(_signed_order(n))
     if not 0.0 <= freq < math.inf:
         raise ValueError(f"freq must be finite and >= 0, got {freq}")
     s = snr_max(cfg)
@@ -183,7 +188,7 @@ def effective_bandwidth(cfg: ChannelConfig, n: int) -> float:
     band above their critical frequency, and nothing once the critical
     frequency clears the band edge.  Even in |n|.
     """
-    n = abs(_int_arg(n))
+    n = abs(_signed_order(n))
     return float(_usable_band(cfg, n, critical_frequency(cfg, n)))
 
 

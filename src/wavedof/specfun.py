@@ -12,7 +12,9 @@ runs across them at once in numpy, with the same operations in the same
 order per argument, so both paths give the same bits; fewer arguments take
 the per-argument loop, which is faster for them.  That loop works on plain
 Python floats and lists, because a modal synthesis runs it at one argument
-over up to hundreds of orders.
+over up to hundreds of orders, and it takes its steps two at a time: the
+recurrence starts at an even order, so which step of each pair adds to the
+normalization sum is fixed and no step tests its parity.
 ``bessel_j`` reads one entry of that table.
 """
 
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 _MAX_ORDER = 10_000
+
+# |order| bound where an order only enters float arithmetic (critical
+# frequencies, SNR ceilings, Stirling's bound, quadrature phases): floats
+# hold every integer up to 2^53 exactly, and none past about 1.8e308.
+_MAX_FLOAT_ORDER = 2**53
 
 # Miller's recurrence runs O(z) steps in Python, about 14 ms for one
 # argument at this bound (2-vCPU Xeon VM); the campaign's probes stay below
@@ -81,6 +88,9 @@ def _int_arg(value, name: str = "order", lo: int | None = None, hi: int | None =
 def _check_order_arg(n: int, z: np.ndarray) -> None:
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n} (use the reflection identity for negative orders)")
+    # one pass for a valid z: a NaN fails both comparisons, an empty z passes
+    if z.min(initial=0.0) >= 0.0 and z.max(initial=0.0) <= _MAX_ARG:
+        return
     for bad, rule in (
         (z < 0.0, "must be >= 0 (use the reflection identity for negative arguments)"),
         (~np.isfinite(z), "must be finite"),
@@ -115,8 +125,24 @@ def _miller_start(n_max: int, z: float) -> int:
     return start + start % 2
 
 
+def _scale_stored(out: list, idx: int, hi: int) -> int:
+    """Scale out[idx:hi] by 1e-250 in place; return ``hi`` lowered past the entries now zero."""
+    out[idx:hi] = [v * 1e-250 for v in out[idx:hi]]
+    while hi > idx and out[hi - 1] == 0.0:
+        hi -= 1
+    return hi
+
+
 def _miller_table(n_max: int, z: float) -> np.ndarray:
     """J_0(z)..J_{n_max}(z) by backward recurrence with sum normalization.
+
+    Step k gives J_{k-1}.  The start is even, so the steps come in pairs
+    (k, k - 1) of an odd order and an even one, and only the even one adds
+    to the norm; the loops take a pair per pass and test no parity.  The
+    first loop runs the steps above n_max, which store nothing, the second
+    the pairs down to orders 3 and 2, and the last pair, whose even order 0
+    adds to the norm once instead of twice, comes after them.  A pair that
+    crosses n_max writes order n_max + 1 to a spare slot.
 
     The 1e-250 rescale touches only the stored entries below ``hi``; the
     entries at and above it are exact zeros, which the rescale leaves as
@@ -124,28 +150,44 @@ def _miller_table(n_max: int, z: float) -> np.ndarray:
     n_max rescale hundreds of times.
     """
     start = _miller_start(n_max, z)
-    out = [0.0] * (n_max + 1)
+    out = [0.0] * (n_max + 2)
     hi = n_max + 1
     j_up = 0.0        # trial J_{k+1}
     j_cur = 1e-300    # trial J_k at k = start
     norm = 0.0        # accumulates J_0 + 2*sum_k J_{2k}
-    for k in range(start, 0, -1):
-        j_down = (2.0 * k / z) * j_cur - j_up
-        j_up = j_cur
-        j_cur = j_down
-        idx = k - 1
-        if idx <= n_max:
-            out[idx] = j_cur
-        if idx % 2 == 0:
-            norm += j_cur if idx == 0 else 2.0 * j_cur
-        if abs(j_cur) > 1e250:
-            j_cur *= 1e-250
-            j_up *= 1e-250
-            norm *= 1e-250
-            out[idx:hi] = [v * 1e-250 for v in out[idx:hi]]
-            while hi > idx and out[hi - 1] == 0.0:
-                hi -= 1
-    return np.array(out) / norm
+    top = n_max + 2 - n_max % 2   # the even k of the first pair that stores
+    for k in range(start, top, -2):
+        j_up, j_cur = j_cur, (2.0 * k / z) * j_cur - j_up
+        if j_cur > 1e250 or j_cur < -1e250:
+            j_cur, j_up, norm = j_cur * 1e-250, j_up * 1e-250, norm * 1e-250
+        j_up, j_cur = j_cur, (2.0 * (k - 1) / z) * j_cur - j_up
+        norm += 2.0 * j_cur
+        if j_cur > 1e250 or j_cur < -1e250:
+            j_cur, j_up, norm = j_cur * 1e-250, j_up * 1e-250, norm * 1e-250
+    for k in range(top, 2, -2):
+        j_up, j_cur = j_cur, (2.0 * k / z) * j_cur - j_up
+        out[k - 1] = j_cur
+        if j_cur > 1e250 or j_cur < -1e250:
+            j_cur, j_up, norm = j_cur * 1e-250, j_up * 1e-250, norm * 1e-250
+            hi = _scale_stored(out, k - 1, hi)
+        j_up, j_cur = j_cur, (2.0 * (k - 1) / z) * j_cur - j_up
+        out[k - 2] = j_cur
+        norm += 2.0 * j_cur
+        if j_cur > 1e250 or j_cur < -1e250:
+            j_cur, j_up, norm = j_cur * 1e-250, j_up * 1e-250, norm * 1e-250
+            hi = _scale_stored(out, k - 2, hi)
+    j_up, j_cur = j_cur, (4.0 / z) * j_cur - j_up
+    out[1] = j_cur
+    if j_cur > 1e250 or j_cur < -1e250:
+        j_cur, j_up, norm = j_cur * 1e-250, j_up * 1e-250, norm * 1e-250
+        hi = _scale_stored(out, 1, hi)
+    j_cur = (2.0 / z) * j_cur - j_up
+    out[0] = j_cur
+    norm += j_cur
+    if j_cur > 1e250 or j_cur < -1e250:
+        norm *= 1e-250
+        _scale_stored(out, 0, hi)
+    return np.array(out[: n_max + 1]) / norm
 
 
 def _miller_rows(n_max: int, z: np.ndarray) -> np.ndarray:
@@ -254,7 +296,7 @@ def stirling_gamma_lower(n: int) -> StirlingBound:
     Computed in the log domain; the linear value is +inf when it exceeds
     the float range.
     """
-    n = _int_arg(n, lo=1)
+    n = _int_arg(n, lo=1, hi=_MAX_FLOAT_ORDER)
     log_val = 0.5 * math.log(2.0 * math.pi * n) + n * math.log(n) - n
     value = math.exp(log_val) if log_val <= 709.0 else math.inf
     return StirlingBound(log_value=log_val, value=value)

@@ -32,7 +32,7 @@ from .channel import (
     symmetric_orders,
 )
 from .dofcore import critical_frequency, truncation_order
-from .specfun import _int_arg, bessel_j_table
+from .specfun import _MAX_FLOAT_ORDER, _int_arg, bessel_j_table
 
 __all__ = [
     "TrialPlan",
@@ -127,8 +127,8 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     n - m is a nonzero multiple of M the quadrature aliases to 2pi and the
     residual shows it.
     """
-    n = _int_arg(n, "n")
-    m = _int_arg(m, "m")
+    n = _int_arg(n, "n", lo=-_MAX_FLOAT_ORDER, hi=_MAX_FLOAT_ORDER)
+    m = _int_arg(m, "m", lo=-_MAX_FLOAT_ORDER, hi=_MAX_FLOAT_ORDER)
     num_samples = _int_arg(num_samples, "num_samples", lo=1)
     quad = (2.0 * math.pi / num_samples) * np.sum(np.exp(1j * (n - m) * _circle_nodes(num_samples)))
     expected = 2.0 * math.pi if n == m else 0.0

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavedof import specfun
@@ -74,7 +74,8 @@ class TestChannelConfig:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         field=st.sampled_from(["f0", "half_bw", "radius", "obs_time", "wave_speed", "noise_var", "p_max", "gamma"]),
-        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        # an integer past the float range counts as non-finite
+        value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
         radius=st.floats(0.0, 1e3),
         gamma=st.floats(1e-6, 1e6),
     )
@@ -309,6 +310,24 @@ class TestFieldSynthesis:
             else:
                 synth_field_modal(modal_coefficients(s, 3), cfg, (r, phi), omega)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    @pytest.mark.parametrize(
+        "route, field",
+        [(route, field) for route in ("planewave", "modal") for field in ("r", "phi", "omega")] + [("circle", "omega")],
+    )
+    def test_integer_past_float_range_rejected(self, route, field, value):
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 5, 3, seed=SEED)
+        args = {"r": 0.05, "phi": 0.0, "omega": 2 * math.pi * float(s.freq_grid[1]), field: value}
+        x = (args["r"], args["phi"])
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            if route == "planewave":
+                synth_field_planewave(s, cfg, x, args["omega"])
+            elif route == "modal":
+                synth_field_modal(modal_coefficients(s, 3), cfg, x, args["omega"])
+            else:
+                synth_field_circle(s, cfg, 8, args["omega"])
+
     @pytest.mark.parametrize("phi", [1e308, -1e308])
     def test_huge_angle_reduced_exactly(self, phi):
         # n * phi overflowed to a nan+nanj field; the exact remainder keeps it finite
@@ -528,6 +547,21 @@ def loop_modal_field(ms, cfg, x, omega):
     return complex(total)
 
 
+_I_POWER_ARRAY = np.array(I_POWERS)
+
+
+def vectorized_modal_field(ms, cfg, x, omega):
+    """The modal sum with its per-order factors built on every call, the bitwise oracle of synth_field_modal."""
+    r, phi = x
+    if abs(phi) > 2.0 * math.pi:
+        phi = math.remainder(phi, 2.0 * math.pi)
+    idx = int(np.argmin(np.abs(ms.freq_grid - omega / (2.0 * math.pi))))
+    n = ms.orders
+    j_tab = bessel_j_table(int(n.max()), omega * r / cfg.wave_speed)
+    j_n = np.where((n < 0) & (n % 2 == 1), -1.0, 1.0) * j_tab[np.abs(n)]
+    return complex(np.sum(_I_POWER_ARRAY[n % 4] * ms.coeffs[:, idx] * j_n * np.exp(1j * n * phi)))
+
+
 class TestSynthesisProperties:
     # wave_speed 2 pi puts omega = 2 pi at kr = r, so r sweeps the Bessel
     # argument over [0, 30], the orders before and after their turning points
@@ -555,6 +589,38 @@ class TestSynthesisProperties:
             got = synth_field_modal(ms, self.CFG, (z, phi), omega)
         want = loop_modal_field(ms, self.CFG, (z, phi), omega)
         assert abs(got - want) <= 1e-12 * max(1.0, float(np.sum(np.abs(ms.coeffs[:, 0]))))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(0, 250),
+        r=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+        phi=st.one_of(
+            st.floats(-2.0 * math.pi, 2.0 * math.pi),
+            st.floats(-1e308, 1e308),
+            st.sampled_from([-0.0, -5e-324, -1.0, -7.0, 7.0, -1e308, 1e308]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_max=0, r=0.0, phi=-0.0, seed=1)
+    @example(n_max=0, r=0.7, phi=-1.0, seed=2)
+    @example(n_max=1, r=0.0, phi=-7.0, seed=3)
+    @example(n_max=250, r=30.0, phi=-1e308, seed=4)
+    def test_modal_field_bitwise_equal_to_vectorized_oracle(self, n_max, r, phi, seed):
+        # every grid frequency of one spectrum, which keeps its order factors between calls
+        rng = np.random.default_rng(seed)
+        grid = np.array([1.0, 1.5, 2.0, 2.5, 3.0])
+        size = (2 * n_max + 1, grid.size)
+        ms = ModalSpectrum(
+            orders=symmetric_orders(n_max),
+            coeffs=rng.standard_normal(size) + 1j * rng.standard_normal(size),
+            freq_grid=grid,
+        )
+        omegas = [2.0 * math.pi * f for f in grid.tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = np.array([synth_field_modal(ms, self.CFG, (r, phi), omega) for omega in omegas])
+            want = np.array([vectorized_modal_field(ms, self.CFG, (r, phi), omega) for omega in omegas])
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

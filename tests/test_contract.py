@@ -43,6 +43,9 @@ SCATTERERS = make_scatterers(CFG, 6, 3, seed=1)
 OMEGA = 2.0 * math.pi * float(SCATTERERS.freq_grid[1])
 SMALL_PLAN = TrialPlan(num_trials=100, circle_samples=8, n_probe=3, freq_samples=16)
 HUGE = 10**400
+# orders of either sign that only enter float arithmetic are bounded by 2^53
+FLOAT_ORDER = 2**53
+SIGNED_REJECTED = (FLOAT_ORDER + 1, -FLOAT_ORDER - 1, HUGE, -HUGE)
 
 
 class IntParam(NamedTuple):
@@ -62,10 +65,13 @@ INT_PARAMS = [
              (-1, 10_001, HUGE, -HUGE)),
     IntParam("chebyshev_second_kind", "n", "order", lambda v: chebyshev_second_kind(v, 0.3), range(0, 31),
              (-1, 10_001, HUGE, -HUGE)),
-    IntParam("stirling_gamma_lower", "n", "order", stirling_gamma_lower, range(1, 101), (0, -1, -HUGE)),
-    IntParam("critical_frequency", "n", "order", lambda v: critical_frequency(CFG, v), range(-30, 31), ()),
-    IntParam("effective_bandwidth", "n", "order", lambda v: effective_bandwidth(CFG, v), range(-30, 31), ()),
-    IntParam("snr_upper_bound", "n", "order", lambda v: snr_upper_bound(CFG, v, 1e9), range(-30, 31), ()),
+    IntParam("stirling_gamma_lower", "n", "order", stirling_gamma_lower, range(1, 101),
+             (0, -1, FLOAT_ORDER + 1, HUGE, -HUGE)),
+    IntParam("critical_frequency", "n", "order", lambda v: critical_frequency(CFG, v), range(-30, 31), SIGNED_REJECTED),
+    IntParam("effective_bandwidth", "n", "order", lambda v: effective_bandwidth(CFG, v), range(-30, 31),
+             SIGNED_REJECTED),
+    IntParam("snr_upper_bound", "n", "order", lambda v: snr_upper_bound(CFG, v, 1e9), range(-30, 31),
+             SIGNED_REJECTED),
     IntParam("make_scatterers", "num_scatterers", "num_scatterers", lambda v: make_scatterers(CFG, v, 3, seed=1),
              range(1, 9), (0, -1, -HUGE)),
     IntParam("make_scatterers", "num_freqs", "num_freqs", lambda v: make_scatterers(CFG, 4, v, seed=1),
@@ -79,8 +85,10 @@ INT_PARAMS = [
     IntParam("synth_field_circle", "seed", "seed",
              lambda v: synth_field_circle(SCATTERERS, CFG, 8, OMEGA, with_noise=True, seed=v), range(0, 101),
              (-1, -HUGE)),
-    IntParam("orthogonality_check", "n", "n", lambda v: orthogonality_check(v, 2, 16), range(-20, 21), ()),
-    IntParam("orthogonality_check", "m", "m", lambda v: orthogonality_check(3, v, 16), range(-20, 21), ()),
+    IntParam("orthogonality_check", "n", "n", lambda v: orthogonality_check(v, 2, 16), range(-20, 21),
+             SIGNED_REJECTED),
+    IntParam("orthogonality_check", "m", "m", lambda v: orthogonality_check(3, v, 16), range(-20, 21),
+             SIGNED_REJECTED),
     IntParam("orthogonality_check", "num_samples", "num_samples", lambda v: orthogonality_check(3, 2, v),
              range(1, 65), (0, -HUGE)),
     IntParam("time_support_check", "n", "order", lambda v: time_support_check(v, 0.1, CFG), range(-8, 9),
@@ -136,6 +144,16 @@ def test_integer_contract(p, data):
             match = re.escape(p.label) if type(bad) is int else _not_an_integer(p, bad)
             with pytest.raises(ValueError, match=match):
                 p.call(bad)
+
+
+@pytest.mark.parametrize("p", [p for p in INT_PARAMS if FLOAT_ORDER + 1 in p.rejected],
+                         ids=lambda p: f"{p.owner}.{p.param}")
+def test_float_order_bound_accepted(p):
+    # the bound itself runs, with no overflow warning, at either sign the parameter takes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for value in (FLOAT_ORDER, -FLOAT_ORDER) if -FLOAT_ORDER - 1 in p.rejected else (FLOAT_ORDER,):
+            p.call(value)
 
 
 def test_every_int_parameter_is_in_the_table():

@@ -276,10 +276,11 @@ class TestBesselKernel:
             assert np.size(z) < _THRESHOLD
             assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(n_max=st.integers(120, 250), z=st.one_of(st.floats(1e-3, 12.0), st.floats(12.0, 300.0)))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(n_max=st.integers(0, 250), z=st.one_of(st.floats(1e-3, 12.0), st.floats(12.0, 300.0)))
     def test_bitwise_at_synthesis_orders(self, n_max, z):
-        # one argument over as many orders as a modal synthesis asks for
+        # one argument over as many orders as a modal synthesis asks for;
+        # short tables run most of their steps above n_max, where nothing is stored
         assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
 
     def test_scalar_reads_the_table(self):
@@ -362,11 +363,43 @@ class TestBesselDomain:
             bessel_j(0, math.inf)
         with pytest.raises(ValueError, match="finite"):
             bessel_j_table(3, [1.0, math.nan])
+        # a NaN among enough arguments for the array path
+        z = np.linspace(0.0, 20.0, 2 * _THRESHOLD)
+        z[_THRESHOLD + 1] = math.nan
+        with pytest.raises(ValueError, match=r"^argument must be finite, got nan$"):
+            bessel_j_table(3, z)
+        # a negative infinity is negative before it is non-finite
+        with pytest.raises(ValueError, match=r"^argument must be >= 0 \(use the reflection .*\), got -inf$"):
+            bessel_j_table(3, [1.0, -math.inf])
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ([2.0, math.nan, -1.0], r"must be >= 0 .*, got -1\.0$"),
+            ([math.nan, 2e5], r"must be finite, got nan$"),
+            ([math.inf, 2e5], r"must be finite, got inf$"),
+            ([3.0, 2e5, 3e5], r"must be <= 100000, got 200000\.0$"),
+        ],
+    )
+    def test_first_broken_rule_reported(self, z, message):
+        # sign first, then finiteness, then the bound; each with the first offending value
+        with pytest.raises(ValueError, match="^argument " + message):
+            bessel_j_table(2, z)
+
+    def test_negative_zero_and_empty_accepted(self):
+        want = bessel_j_table(3, 0.0)
+        assert bessel_j_table(3, -0.0).tobytes() == want.tobytes()
+        assert bessel_j_table(3, np.full(_THRESHOLD, -0.0)).tobytes() == np.tile(want, (_THRESHOLD, 1)).tobytes()
+        assert bessel_j_table(3, []).shape == (0, 4)
+        assert bessel_j_table(3, np.zeros((0, 5))).shape == (0, 5, 4)
 
     def test_argument_bound(self):
         assert abs(bessel_j_table(0, 1e5)[0]) <= 1.0
+        assert np.all(np.abs(bessel_j_table(1, np.full(_THRESHOLD, 1e5))) <= 1.0)
         with pytest.raises(ValueError, match="<= 100000"):
             bessel_j(0, math.nextafter(1e5, math.inf))
+        with pytest.raises(ValueError, match=r"^argument must be <= 100000, got 100000\.00000000001$"):
+            bessel_j_table(0, np.full(_THRESHOLD, np.nextafter(1e5, math.inf)))
         with pytest.raises(ValueError, match="<= 100000"):
             bessel_j_table(2, np.array([[1.0, 2.0], [3.0, 1e8]]))
 
