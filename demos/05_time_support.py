@@ -30,6 +30,7 @@ for radius in (0.1, 0.2, 0.4):
 res = time_support_check(0, cfg.radius, cfg)
 inside = res.energy[np.abs(res.times) <= limit]
 print(f"\nenergy profile: {res.times.size} time samples, "
-      f"{inside.size} inside the support, peak {res.energy.max():.3e}")
+      f"{inside.size} inside the support, peak {res.energy.max():.3e} "
+      "(kernel in units where R/c = 1)")
 print(f"observation window bonus for this disk: {(effective_time(cfg))*1e9:.4f} ns "
       "added to any T")

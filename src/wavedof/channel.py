@@ -11,6 +11,7 @@ circle is modelled per angular quadrature node.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +36,12 @@ __all__ = [
 
 SPEED_OF_LIGHT = 2.998e8
 
+# Bound on the largest array a synthesis or a verification plan makes, in
+# complex cells: scatterers by frequencies, circle nodes by scatterers,
+# trials (or probed orders) by circle nodes (or frequency samples).  2^24
+# cells is 256 MB per array, 32x the default verification plan.
+_MAX_CELLS = 2**24
+
 _I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 
@@ -42,10 +49,12 @@ _I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 class ChannelConfig:
     """Physical scenario: band, geometry, observation time, noise and threshold.
 
-    ``radius``, ``noise_var`` and ``p_max`` admit 0 as degenerate limits
-    (point observation region, noiseless sensing, silent channel); the
-    operations that would divide by them reject the degenerate value
-    instead.
+    Every field is a finite real number: Python and numpy ints and
+    floats pass and are kept as given; bools, strings, None and other
+    non-numbers raise a ValueError naming the field.  ``radius``,
+    ``noise_var`` and ``p_max`` admit 0 as degenerate limits (point
+    observation region, noiseless sensing, silent channel); the operations
+    that would divide by them reject the degenerate value instead.
     """
 
     f0: float                       # center frequency, Hz
@@ -59,6 +68,9 @@ class ChannelConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
+            # bool is an int subclass, but True is no length, time or power
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not _is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.f0 > self.half_bw > 0.0:
@@ -222,6 +234,11 @@ def make_scatterers(cfg: ChannelConfig, num_scatterers: int, num_freqs: int, see
     """
     num_scatterers = _int_arg(num_scatterers, "num_scatterers", lo=1)
     num_freqs = _int_arg(num_freqs, "num_freqs", lo=2)
+    if num_scatterers * num_freqs > _MAX_CELLS:
+        raise ValueError(
+            f"num_scatterers * num_freqs must be <= {_MAX_CELLS} cells, "
+            f"got {num_scatterers} * {num_freqs} = {num_scatterers * num_freqs}"
+        )
     rng = np.random.default_rng(_int_arg(seed, "seed", lo=0))
     angles = rng.uniform(0.0, 2.0 * math.pi, num_scatterers)
     gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (num_scatterers, num_freqs))
@@ -361,6 +378,12 @@ def synth_field_circle(
     noise_var * M / (2pi) per node).
     """
     num_nodes = _int_arg(num_nodes, "num_nodes", lo=1)
+    # the plane-wave sum makes one (nodes, scatterers) array
+    if num_nodes * s.num_scatterers > _MAX_CELLS:
+        raise ValueError(
+            f"num_nodes * num_scatterers must be <= {_MAX_CELLS} cells, "
+            f"got {num_nodes} * {s.num_scatterers} = {num_nodes * s.num_scatterers}"
+        )
     nodes = _circle_nodes(num_nodes)
     idx = _grid_index(s.freq_grid, omega)
     values = _planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * cfg.radius, nodes[:, None])

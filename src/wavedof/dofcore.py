@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _is_finite
 from .specfun import _MAX_FLOAT_ORDER, _int_arg
 
 __all__ = [
@@ -139,7 +139,7 @@ def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
     2 pi f R / c < n.
     """
     n = abs(_signed_order(n))
-    if not 0.0 <= freq < math.inf:
+    if not (_is_finite(freq) and freq >= 0.0):
         raise ValueError(f"freq must be finite and >= 0, got {freq}")
     s = snr_max(cfg)
     if s == 0.0:

@@ -21,10 +21,12 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    _MAX_CELLS,
     ChannelConfig,
     _circle_nodes,
     _complex_normal,
     _gain_scale,
+    _is_finite,
     _modal_order,
     _node_noise_var,
     _planewave_sum,
@@ -50,11 +52,6 @@ __all__ = [
 ]
 
 _MIN_STATISTICAL_TRIALS = 100
-
-# Bound on the largest array a plan makes, in complex cells: trials (or
-# probed orders) by circle nodes (or frequency samples).  2^24 cells is
-# 256 MB per array, 32x the default plan.
-_MAX_PLAN_CELLS = 2**24
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -86,10 +83,10 @@ class TrialPlan:
             )
         rows = max(self.num_trials, 2 * self.n_probe + 1)
         cols = max(self.circle_samples, self.freq_samples)
-        if rows * cols > _MAX_PLAN_CELLS:
+        if rows * cols > _MAX_CELLS:
             raise ValueError(
                 f"max(num_trials, 2*n_probe+1) * max(circle_samples, freq_samples) must be "
-                f"<= {_MAX_PLAN_CELLS} cells, got {rows} * {cols} = {rows * cols}"
+                f"<= {_MAX_CELLS} cells, got {rows} * {cols} = {rows * cols}"
             )
 
     def to_dict(self) -> dict:
@@ -129,7 +126,8 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     """
     n = _int_arg(n, "n", lo=-_MAX_FLOAT_ORDER, hi=_MAX_FLOAT_ORDER)
     m = _int_arg(m, "m", lo=-_MAX_FLOAT_ORDER, hi=_MAX_FLOAT_ORDER)
-    num_samples = _int_arg(num_samples, "num_samples", lo=1)
+    # bounded like any array of a plan, far inside the float range
+    num_samples = _int_arg(num_samples, "num_samples", lo=1, hi=_MAX_CELLS)
     quad = (2.0 * math.pi / num_samples) * np.sum(np.exp(1j * (n - m) * _circle_nodes(num_samples)))
     expected = 2.0 * math.pi if n == m else 0.0
     return float(abs(quad - expected))
@@ -270,8 +268,13 @@ _POWER_BALANCE_SCATTERERS = 16
 # whole (trials, nodes, scatterers) array was 33 MB.
 _PB_CHUNK_TRIALS = 64
 
+# Chunks per task of the power balance's ``map``: the default 2000 trials
+# make 8 tasks, few enough to cost nothing to schedule and small enough to
+# even out the pool's last busy worker.
+_PB_TASK_CHUNKS = 4
 
-def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float) -> PowerBalance:
+
+def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float, map=map) -> PowerBalance:
     """Average power on the observation circle vs the per-order sum.
 
     The circle average of E|field|^2 must equal sum_n E|alpha_n|^2
@@ -279,10 +282,16 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float) -> Po
     estimates the left side from synthesized fields; ``tail`` substitutes
     the expectation exactly, which leaves the truncation tail of
     sum_n J_n^2 = 1.
+
+    Every random number is drawn first, then ``map`` synthesizes the
+    trials in tasks of a few chunks each: the builtin map runs them here,
+    an executor's ``map`` on its pool.  Each trial's power is computed
+    alone and the tasks come back in order, so the result's bits do not
+    depend on which.
     """
-    z = omega * cfg.radius / cfg.wave_speed
+    z = omega * cfg.radius / cfg.wave_speed if _is_finite(omega) else math.inf
     if not 0.0 <= z < math.inf:
-        raise ValueError(f"omega and radius must be finite and nonnegative, got kr={z}")
+        raise ValueError(f"omega and radius must be finite and nonnegative, got omega={omega}, kr={z}")
     j_tab = bessel_j_table(_modal_order(z), z)
     modal_sum = cfg.p_max * (j_tab[0] ** 2 + 2.0 * np.sum(j_tab[1:] ** 2))
     m = plan.circle_samples
@@ -297,14 +306,22 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float) -> Po
     gains = _complex_normal(rng, _gain_scale(cfg, j), (t, j))
     noise = _white_circle_noise(cfg, rng, (t, m)) if cfg.noise_var > 0.0 else None
     nodes = _circle_nodes(m)[None, :, None]
-    per_trial = np.empty(t)
-    for lo in range(0, t, _PB_CHUNK_TRIALS):
-        rows = slice(lo, lo + _PB_CHUNK_TRIALS)
-        # (chunk, m) field samples on the circle, one scatterer set per trial
-        values = _planewave_sum(angles[rows, None, :], gains[rows, None, :], z, nodes)
-        if noise is not None:
-            values = values + noise[rows]
-        per_trial[rows] = np.mean(np.abs(values) ** 2, axis=1)
+
+    def circle_power(starts: range) -> list:
+        """Per-trial circle power of the chunks that begin at ``starts``."""
+        powers = []
+        for lo in starts:
+            rows = slice(lo, lo + _PB_CHUNK_TRIALS)
+            # (chunk, m) field samples on the circle, one scatterer set per trial
+            values = _planewave_sum(angles[rows, None, :], gains[rows, None, :], z, nodes)
+            if noise is not None:
+                values = values + noise[rows]
+            powers.append(np.mean(np.abs(values) ** 2, axis=1))
+        return powers
+
+    starts = range(0, t, _PB_CHUNK_TRIALS)
+    tasks = [starts[i : i + _PB_TASK_CHUNKS] for i in range(0, len(starts), _PB_TASK_CHUNKS)]
+    per_trial = np.concatenate([p for powers in map(circle_power, tasks) for p in powers])
     est = float(per_trial.mean())
     se = float(per_trial.std() / math.sqrt(t))
     scale = max(reference, 1e-300)
@@ -317,12 +334,13 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float) -> Po
     )
 
 
-# Resolution of the windowed inverse transform.  The band runs to
-# kR = 200 and the time axis to pad * R/c; delta is the support margin of
-# the leakage window.  The values meet two conditions: at least 64 time
-# samples fall inside the nominal support (2048 >= 64 * pad), and the
-# frequency step resolves the kernel's oscillation at the time-axis edge
-# (2048 - 1 >= 2 * kR_max * pad / pi, about 509).
+# Resolution of the windowed inverse transform, in units where R/c = 1:
+# frequency as kR, time as ct/R.  The band runs to kR = 200 and the time
+# axis to pad; delta is the support margin of the leakage window.  The
+# values meet two conditions: at least 64 time samples fall inside the
+# nominal support (2048 >= 64 * pad), and the frequency step resolves the
+# kernel's oscillation at the time-axis edge (2048 - 1 >= 2 * kR_max * pad
+# / pi, about 509).
 _TS_KR_MAX = 200.0
 _TS_FREQ_SAMPLES = 2048
 _TS_TIME_SAMPLES = 2048
@@ -330,34 +348,36 @@ _TS_PAD = 4.0
 _TS_DELTA = 0.05
 
 # J_n turns on near kR = n, so an order must turn on well inside the band.
-# Leakage at R = 0.1 m: 5.1e-7 at n = 180, 4.0e-6 at 190, 3.5e-4 at 200,
-# 0.031 at 250, where the kernel is cut off mid-rise by the band edge.
+# Leakage: 5.1e-7 at n = 180, 4.0e-6 at 190, 3.5e-4 at 200, 0.031 at 250,
+# where the kernel is cut off mid-rise by the band edge.
 _TS_MAX_ORDER = int(0.9 * _TS_KR_MAX)
 
-# Time rows of the transform evaluated at once: a (64, 2048) block is
-# 1 MB, where the whole (2048, 2048) matrix was 32 MB.
-_TS_BLOCK_ROWS = 64
+# FFT length of the chirp-z transform: the convolution of the frequency
+# samples with the chirp spans freq + time - 1 = 4095 lags.
+_TS_FFT_SIZE = 4096
 
 
 class TimeSupportResult(NamedTuple):
     leakage: float          # energy fraction outside |t| <= (1 + delta) R/c
-    edge_time: float        # outermost half-max crossing of the energy envelope
-    times: np.ndarray
-    energy: np.ndarray
+    edge_time: float        # outermost half-max crossing of the energy envelope, s
+    times: np.ndarray       # s
+    energy: np.ndarray      # squared kernel in units where R/c = 1
 
 
 def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupportResult:
     """Time support of the order-n receive kernel.
 
-    Inverse-transforms a cosine-tapered J_n(omega r / c) over a wide band
-    by direct quadrature and measures how much kernel energy escapes
-    |t| <= (1 + delta) r/c.  The kernel is even or odd with the order, so
-    only t >= 0 is evaluated.  A compact result, with an energy edge at
-    r/c, is what makes the effective observation time T + 2r/c
-    order-independent.  The edge sits at r/c for the low orders the
-    campaign and acceptance criterion 6 check (n <= 8), not for every
-    accepted order: at r = 0.1 m the half-maximum edge is 3.33e-10 s at
-    n = 0, 2.43e-10 s at n = 100 and 5.8e-11 s at n = 180.
+    Inverse-transforms a cosine-tapered J_n(kr) over a wide band and
+    measures how much kernel energy escapes |t| <= (1 + delta) r/c.  The
+    transform runs in units where r/c = 1, so everything but the time axis
+    and the edge is the same for every radius; those two are scaled by r/c
+    at the end.  The kernel is even or odd with the order, so only t >= 0
+    is evaluated.  A compact result, with an energy edge at r/c, is what
+    makes the effective observation time T + 2r/c order-independent.  The
+    edge sits at r/c for the low orders the campaign and acceptance
+    criterion 6 check (n <= 8), not for every accepted order: at
+    r = 0.1 m the half-maximum edge is 3.33e-10 s at n = 0, 2.43e-10 s at
+    n = 100 and 5.8e-11 s at n = 180.
 
     The taper vanishes at both band ends; weighting the band
     symmetrically keeps the leakage fraction comparable across orders,
@@ -368,39 +388,45 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
         raise ValueError(
             f"order must satisfy |order| <= {_TS_MAX_ORDER}, 0.9 of the band edge kR = {_TS_KR_MAX:g}, got {n}"
         )
-    if not (math.isfinite(radius) and radius > 0.0):
+    if not (_is_finite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
-    c = cfg.wave_speed
     # Python floats give inf or 0 here where numpy scalars would warn
-    omega_max = _TS_KR_MAX * float(c) / float(radius)
-    if not (0.0 < omega_max < math.inf):
-        raise ValueError(f"radius {radius} puts the band edge {_TS_KR_MAX:g} c / radius outside the float range")
-    omega = np.linspace(0.0, omega_max, _TS_FREQ_SAMPLES)
-    window = 0.5 * (1.0 - np.cos(2.0 * math.pi * omega / omega_max))
-    spectrum = window * bessel_j_table(abs(n), omega * radius / c)[:, -1]
+    t_unit = float(radius) / float(cfg.wave_speed)
+    if not 0.0 < t_unit < math.inf:
+        raise ValueError(f"radius / wave_speed must be a finite time > 0, got {radius} / {cfg.wave_speed}")
+    # imported here, not with the module: only this stage transforms, and
+    # the import would cost every command's start-up about 2 ms
+    from numpy.fft import fft, ifft
 
-    t_edge_nominal = radius / c
-    times = np.linspace(0.0, _TS_PAD * t_edge_nominal, _TS_TIME_SAMPLES)
-    # even orders give a cosine transform, odd orders a sine transform,
-    # taken over blocks of time rows so no (times, omega) matrix is whole
-    basis = np.cos if abs(n) % 2 == 0 else np.sin
-    h = np.empty(times.size)
-    for lo in range(0, times.size, _TS_BLOCK_ROWS):
-        rows = slice(lo, lo + _TS_BLOCK_ROWS)
-        h[rows] = _trapezoid(basis(np.outer(times[rows], omega)) * spectrum[None, :], omega, axis=1)
-    h /= math.pi
-    energy = h**2
+    kr = np.linspace(0.0, _TS_KR_MAX, _TS_FREQ_SAMPLES)
+    window = 0.5 * (1.0 - np.cos(2.0 * math.pi * kr / _TS_KR_MAX))
+    # trapezoid weights over kR times the tapered spectrum
+    weighted = np.convolve(np.diff(kr), [0.5, 0.5]) * window * bessel_j_table(abs(n), kr)[:, -1]
+    tau = np.linspace(0.0, _TS_PAD, _TS_TIME_SAMPLES)
 
-    inside = times <= (1.0 + _TS_DELTA) * t_edge_nominal
-    total = float(_trapezoid(energy, times))
-    if total == 0.0:
-        raise ValueError("kernel energy vanished; widen the band")
-    leakage = float(_trapezoid(np.where(inside, 0.0, energy), times)) / total
+    # sum_k weighted_k e^{i theta j k} at every time index j, theta the
+    # product of the two grid steps.  jk = (j^2 + k^2 - (j - k)^2) / 2 makes
+    # it a convolution with the chirp e^{-i theta m^2 / 2} over the lags
+    # m = j - k (Bluestein's chirp-z transform), done by one FFT pair.
+    theta = float(tau[1] * kr[1])
+    k = np.arange(max(_TS_FREQ_SAMPLES, _TS_TIME_SAMPLES))
+    chirp = np.exp(1j * (0.5 * theta * (k * k)))
+    gap = np.zeros(_TS_FFT_SIZE - _TS_TIME_SAMPLES - _TS_FREQ_SAMPLES + 1)
+    # lags 0 .. times - 1, then -(freqs - 1) .. -1 wrapped to the end
+    lags = np.concatenate([chirp[:_TS_TIME_SAMPLES], gap, chirp[_TS_FREQ_SAMPLES - 1 : 0 : -1]]).conj()
+    conv = ifft(fft(weighted * chirp[:_TS_FREQ_SAMPLES], _TS_FFT_SIZE) * fft(lags))
+    h = conv[:_TS_TIME_SAMPLES] * chirp[:_TS_TIME_SAMPLES]
+    # even orders give a cosine transform, odd orders a sine transform
+    energy = ((h.real if abs(n) % 2 == 0 else h.imag) / math.pi) ** 2
+
+    inside = tau <= 1.0 + _TS_DELTA
+    total = float(_trapezoid(energy, tau))
+    leakage = float(_trapezoid(np.where(inside, 0.0, energy), tau)) / total
 
     half = 0.5 * float(energy.max())
     above = np.nonzero(energy >= half)[0]
-    edge_time = float(times[above[-1]])
-    return TimeSupportResult(leakage=leakage, edge_time=edge_time, times=times, energy=energy)
+    edge_time = float(tau[above[-1]]) * t_unit
+    return TimeSupportResult(leakage=leakage, edge_time=edge_time, times=tau * t_unit, energy=energy)
 
 
 class _SnrProbe(NamedTuple):
@@ -492,9 +518,10 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     The noise, power-balance and time-support stages and every SNR probe
     seed their own generator and spend their time in numpy loops that
     release the GIL, so they run at once on a pool of one thread per
-    usable CPU.  Their results are read back in check order, so the
-    report, and whichever exception a stage raises, do not depend on the
-    number of workers.
+    usable CPU; the power balance, the largest stage, is split into
+    several tasks of its trials.  Results are read back in check order,
+    so the report, and whichever exception a stage raises, do not depend
+    on the number of workers.
     """
     # imported here, not with the module: analyze, sweep and tables start no
     # pool, and the executor's imports (logging, queue) cost them about 7 ms
@@ -508,10 +535,18 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     pool = ThreadPoolExecutor(max_workers=_usable_cpus())
     try:
         noise = pool.submit(noise_variance_check, plan, cfg)
-        balance = pool.submit(power_balance_check, plan, cfg, omega_mid)
         support = pool.submit(time_support_check, 0, cfg.radius, cfg) if cfg.radius > 0.0 else None
         estimates = [pool.submit(empirical_order_snr, p.plan, cfg, p.n, p.f_edge) for p in probes]
-        noise_rows, pb = noise.result(), balance.result()
+        # The power balance draws here and queues its trial tasks behind the
+        # other stages, then this thread waits for them.  A pool task must
+        # not wait on the pool: on one worker it would wait forever.
+        try:
+            pb, balance_error = power_balance_check(plan, cfg, omega_mid, pool.map), None
+        except Exception as exc:
+            pb, balance_error = None, exc
+        noise_rows = noise.result()
+        if balance_error is not None:
+            raise balance_error
         ts = None if support is None else support.result()
         try:
             if probe_error is not None:

@@ -147,6 +147,12 @@ class TestMakeScatterers:
         with pytest.raises(ValueError):
             make_scatterers(cfg, 5, 1, seed=SEED)
 
+    @pytest.mark.parametrize("args", [(10**400, 3), (3, 10**400), (2**24 // 3 + 1, 3), (2**12, 2**12 + 1)])
+    def test_cell_bound_rejected_before_allocating(self, args):
+        # only ever rejected, never run: past the bound one gains array is over 256 MB
+        with pytest.raises(ValueError, match=r"^num_scatterers \* num_freqs must be <= 16777216 cells, got "):
+            make_scatterers(base_cfg(), *args, seed=SEED)
+
     @pytest.mark.parametrize("field, args", [("num_scatterers", (8.5, 4)), ("num_freqs", (5, 3.0))])
     def test_non_integer_count_rejected(self, field, args):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -492,6 +498,15 @@ class TestFieldCircle:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="num_nodes must be >= 1"):
                 synth_field_circle(s, cfg, bad, omega)
+
+    @pytest.mark.parametrize("num_nodes", [10**400, 2**40, 2**21 + 1])
+    def test_cell_bound_rejected_before_allocating(self, num_nodes):
+        # only ever rejected, never run: 2^40 nodes would ask for 8 TiB per scatterer column
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 8, 3, seed=SEED)
+        omega = 2 * math.pi * float(s.freq_grid[0])
+        with pytest.raises(ValueError, match=rf"^num_nodes \* num_scatterers must be <= 16777216 cells, got {num_nodes} \* 8 = "):
+            synth_field_circle(s, cfg, num_nodes, omega)
 
 
 class TestSerialization:

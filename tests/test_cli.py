@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -315,6 +320,17 @@ class TestSimulate:
         verdicts = {c["name"]: c["verdict"] for c in body["checks"]}
         assert verdicts["dof_prediction"] == "skipped"
 
+    def test_tiny_radius_runs_without_warning(self, tmp_path, capsys):
+        # 200 c / radius overflows, but the time support never forms it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--radius", "1e-300", "--num-trials", "200", "--out", str(tmp_path)])
+        assert code in (0, 3)
+        assert capsys.readouterr().err == ""
+        checks = json.loads((tmp_path / "verification.json").read_text())["checks"]
+        support = next(c for c in checks if c["name"] == "time_support_leakage")
+        assert support["verdict"] == "pass"
+
     def test_aliasing_plan_exits_2(self, tmp_path, capsys):
         code = main([
             "simulate", "--circle-samples", "8", "--n-probe", "16", "--out", str(tmp_path),
@@ -414,6 +430,24 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_version_loads_no_stage_only_module(self):
+        # numpy.fft (time support) and concurrent.futures (the campaign's
+        # pool) are imported where they are used, so start-up pays for neither
+        code = (
+            "import sys\n"
+            "from wavedof import cli\n"
+            "try:\n"
+            "    cli.main(['--version'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in ('numpy.fft', 'concurrent.futures') if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # The report writers before the budget became columnar, kept as the byte

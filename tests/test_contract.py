@@ -1,9 +1,12 @@
-"""The integer-argument contract of the public entry points.
+"""The argument contracts of the public entry points.
 
 Every parameter annotated ``int`` takes Python and numpy integers, and the
 result does not depend on which; booleans, floats, strings, None and
 out-of-range integers raise a ValueError that names the parameter.  One
 table lists every such parameter, and a guard keeps the table complete.
+Every ``ChannelConfig`` field takes a finite real number under one rule,
+and an integer past the float range is a ValueError naming the parameter
+wherever a float is expected.
 """
 
 import inspect
@@ -32,6 +35,7 @@ from wavedof import (
     make_scatterers,
     modal_coefficients,
     orthogonality_check,
+    power_balance_check,
     snr_upper_bound,
     stirling_gamma_lower,
     synth_field_circle,
@@ -73,15 +77,15 @@ INT_PARAMS = [
     IntParam("snr_upper_bound", "n", "order", lambda v: snr_upper_bound(CFG, v, 1e9), range(-30, 31),
              SIGNED_REJECTED),
     IntParam("make_scatterers", "num_scatterers", "num_scatterers", lambda v: make_scatterers(CFG, v, 3, seed=1),
-             range(1, 9), (0, -1, -HUGE)),
+             range(1, 9), (0, -1, 2**24 // 3 + 1, HUGE, -HUGE)),
     IntParam("make_scatterers", "num_freqs", "num_freqs", lambda v: make_scatterers(CFG, 4, v, seed=1),
-             range(2, 9), (1, 0, -HUGE)),
+             range(2, 9), (1, 0, 2**22 + 1, HUGE, -HUGE)),
     IntParam("make_scatterers", "seed", "seed", lambda v: make_scatterers(CFG, 4, 3, seed=v), range(0, 101),
              (-1, -HUGE)),
     IntParam("modal_coefficients", "n_max", "n_max", lambda v: modal_coefficients(SCATTERERS, v), range(0, 21),
              (-1, 10_001, HUGE, -HUGE)),
     IntParam("synth_field_circle", "num_nodes", "num_nodes", lambda v: synth_field_circle(SCATTERERS, CFG, v, OMEGA),
-             range(1, 17), (0, -HUGE)),
+             range(1, 17), (0, 2**24 // 6 + 1, 2**40, HUGE, -HUGE)),
     IntParam("synth_field_circle", "seed", "seed",
              lambda v: synth_field_circle(SCATTERERS, CFG, 8, OMEGA, with_noise=True, seed=v), range(0, 101),
              (-1, -HUGE)),
@@ -90,7 +94,7 @@ INT_PARAMS = [
     IntParam("orthogonality_check", "m", "m", lambda v: orthogonality_check(3, v, 16), range(-20, 21),
              SIGNED_REJECTED),
     IntParam("orthogonality_check", "num_samples", "num_samples", lambda v: orthogonality_check(3, 2, v),
-             range(1, 65), (0, -HUGE)),
+             range(1, 65), (0, 2**24 + 1, HUGE, -HUGE)),
     IntParam("time_support_check", "n", "order", lambda v: time_support_check(v, 0.1, CFG), range(-8, 9),
              (181, -181, HUGE, -HUGE)),
     IntParam("empirical_order_snr", "n", "order", lambda v: empirical_order_snr(SMALL_PLAN, CFG, v, 1e9),
@@ -169,3 +173,54 @@ def test_every_int_parameter_is_in_the_table():
                 found.add((name, param.name))
     assert found - RESULT_RECORDS == {(p.owner, p.param) for p in INT_PARAMS}
     assert RESULT_RECORDS <= found
+
+
+# (entry point, parameter, call with the value in that parameter): floats
+# where an integer past the float range once leaked an OverflowError
+FLOAT_PARAMS = [
+    ("snr_upper_bound", "freq", lambda v: snr_upper_bound(CFG, 2, v)),
+    ("time_support_check", "radius", lambda v: time_support_check(0, v, CFG)),
+    ("power_balance_check", "omega", lambda v: power_balance_check(SMALL_PLAN, CFG, v)),
+    ("synth_field_circle", "omega", lambda v: synth_field_circle(SCATTERERS, CFG, 8, v)),
+]
+
+
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
+@pytest.mark.parametrize("param, call", [p[1:] for p in FLOAT_PARAMS], ids=[f"{p[0]}.{p[1]}" for p in FLOAT_PARAMS])
+def test_integer_past_the_float_range_named(param, call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"\b{param}\b"):
+            call(value)
+
+
+CONFIG_KW = dict(f0=1.5e9, half_bw=1.3e9, radius=0.1, obs_time=0.0, wave_speed=3e8, p_max=1000.0)
+CONFIG_FIELDS = list(ChannelConfig.__dataclass_fields__)
+
+
+def _config(name, value):
+    return ChannelConfig(**{**CONFIG_KW, name: value})
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, 1j, np.array(0.1)],
+                         ids=["True", "False", "np.True_", "str", "None", "complex", "0-d array"])
+@pytest.mark.parametrize("name", CONFIG_FIELDS)
+def test_config_non_number_rejected(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        _config(name, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan), HUGE, -HUGE],
+                         ids=["nan", "inf", "-inf", "np.nan", "huge", "-huge"])
+@pytest.mark.parametrize("name", CONFIG_FIELDS)
+def test_config_non_finite_rejected(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+        _config(name, value)
+
+
+@pytest.mark.parametrize("kind", [float, int, np.float64, np.float32, np.int64])
+def test_config_real_types_kept_as_given(kind):
+    # the values themselves are kept, so each type gives the one configuration
+    cfg = ChannelConfig(**{**CONFIG_KW, "radius": kind(2), "obs_time": kind(0)})
+    assert type(cfg.radius) is kind and cfg.radius == 2
+    assert cfg.k_max * cfg.radius == ChannelConfig(**{**CONFIG_KW, "radius": 2.0}).k_max * 2.0

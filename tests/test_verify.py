@@ -10,10 +10,12 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import numpy.fft  # noqa: F401  time_support_check imports it on first use; no traced peak should count that
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,7 +65,11 @@ def plan(**kw):
 
 
 def dense_time_support(n, radius, cfg):
-    """The time-support transform as one dense (times, omega) matrix: the oracle of the blocked one."""
+    """The time-support transform as one dense (times, omega) matrix in SI units: the oracle of the chirp-z one.
+
+    Returns the time axis and the kernel h itself, of which the checked
+    transform reports the square in units where R/c = 1.
+    """
     c = cfg.wave_speed
     omega_max = verify._TS_KR_MAX * c / radius
     omega = np.linspace(0.0, omega_max, verify._TS_FREQ_SAMPLES)
@@ -73,7 +79,29 @@ def dense_time_support(n, radius, cfg):
     phase = np.outer(times, omega)
     basis = np.cos(phase) if abs(n) % 2 == 0 else np.sin(phase)
     h = verify._trapezoid(basis * spectrum[None, :], omega, axis=1) / math.pi
-    return times, h**2
+    return times, h
+
+
+def assert_matches_dense_transform(got, n, radius, cfg):
+    """|h| of the chirp-z result within 1e-12 of max|h| of the dense oracle, and the same time axis."""
+    times, h = dense_time_support(n, radius, cfg)
+    np.testing.assert_allclose(got.times, times, rtol=1e-15, atol=0.0)
+    # the oracle's kernel is in SI units, (c/R) times the dimensionless one
+    h = np.abs(h) * (radius / cfg.wave_speed)
+    assert np.max(np.abs(np.sqrt(got.energy) - h)) <= 1e-12 * np.max(h)
+
+
+def whole_per_trial(p, cfg, z):
+    """Circle power of every trial, synthesized at once at argument z = omega R / c."""
+    m = p.circle_samples
+    rng = np.random.default_rng(p.seed)
+    t, j = p.num_trials, 16
+    angles = rng.uniform(0.0, 2.0 * math.pi, (t, j))
+    gains = _complex_normal(rng, _gain_scale(cfg, j), (t, j))
+    values = _planewave_sum(angles[:, None, :], gains[:, None, :], z, _circle_nodes(m)[None, :, None])
+    if cfg.noise_var > 0.0:
+        values = values + _white_circle_noise(cfg, rng, (t, m))
+    return np.mean(np.abs(values) ** 2, axis=1)
 
 
 def whole_power_balance(p, cfg, omega):
@@ -85,14 +113,8 @@ def whole_power_balance(p, cfg, omega):
     noise_term = cfg.noise_var * m / (2.0 * math.pi)
     reference = modal_sum + noise_term
     exact_ref = cfg.p_max + noise_term
-    rng = np.random.default_rng(p.seed)
-    t, j = p.num_trials, 16
-    angles = rng.uniform(0.0, 2.0 * math.pi, (t, j))
-    gains = _complex_normal(rng, _gain_scale(cfg, j), (t, j))
-    values = _planewave_sum(angles[:, None, :], gains[:, None, :], z, _circle_nodes(m)[None, :, None])
-    if cfg.noise_var > 0.0:
-        values = values + _white_circle_noise(cfg, rng, (t, m))
-    per_trial = np.mean(np.abs(values) ** 2, axis=1)
+    per_trial = whole_per_trial(p, cfg, z)
+    t = p.num_trials
     est = float(per_trial.mean())
     scale = max(reference, 1e-300)
     return verify.PowerBalance(
@@ -396,6 +418,40 @@ class TestPowerBalance:
         assert got.estimate == want.estimate and got.stderr == want.stderr
         assert got == want
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("noise_var", [0.0, 0.7])
+    def test_pool_map_gives_the_whole_per_trial_bits(self, workers, noise_var):
+        # 9 chunks, the last one partial, in tasks of _PB_TASK_CHUNKS chunks
+        cfg = wide_cfg(noise_var=noise_var, p_max=3.0)
+        p = plan(num_trials=8 * verify._PB_CHUNK_TRIALS + 17)
+        omega = 2 * math.pi * cfg.f0
+
+        def per_trial(run, map_):
+            """The result and the per-trial powers that ``map_`` handed back."""
+            tasks = []
+
+            def recording(fn, it):
+                out = list(map_(fn, it))
+                tasks.extend(out)
+                return out
+
+            result = run(recording)
+            return result, np.concatenate([c for chunks in tasks for c in chunks])
+
+        want, want_rows = per_trial(lambda m: power_balance_check(p, cfg, omega, m), map)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got, got_rows = per_trial(lambda m: power_balance_check(p, cfg, omega, m), pool.map)
+        whole = whole_per_trial(p, cfg, omega * cfg.radius / cfg.wave_speed)
+        assert want_rows.tobytes() == whole.tobytes()
+        assert got_rows.tobytes() == whole.tobytes()
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(got).tobytes() == np.array(whole_power_balance(p, cfg, omega)).tobytes()
+
+    @pytest.mark.parametrize("omega", [10**400, -(10**400)])
+    def test_integer_omega_past_the_float_range_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega and radius must be finite and nonnegative, got omega="):
+            power_balance_check(plan(), wide_cfg(), omega)
+
 
 class TestTimeSupport:
     def test_leakage_small_at_default_band(self):
@@ -431,12 +487,33 @@ class TestTimeSupport:
             time_support_check(0, radius, wide_cfg())
 
     @pytest.mark.parametrize("radius", [1e-300, np.float64(1e-300)])
-    def test_radius_overflowing_band_edge_rejected(self, radius):
-        # 200 c / radius overflows; rejected before any warning or Bessel call
+    def test_tiny_radius_accepted(self, radius):
+        # the transform runs in units of R/c, so 200 c / radius never forms
+        cfg = wide_cfg()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="radius 1e-300"):
-                time_support_check(0, radius, wide_cfg())
+            res = time_support_check(0, radius, cfg)
+        r_over_c = 1e-300 / cfg.wave_speed
+        assert res.leakage == time_support_check(0, 1.0, cfg).leakage
+        assert abs(res.edge_time - r_over_c) <= 0.05 * r_over_c
+        assert np.all(np.isfinite(res.times)) and np.all(np.isfinite(res.energy))
+
+    def test_leakage_and_energy_independent_of_radius(self):
+        cfg = wide_cfg()
+        results = [time_support_check(3, radius, cfg) for radius in (1e-300, 1.0, 1e300)]
+        assert len({r.leakage for r in results}) == 1
+        assert len({r.energy.tobytes() for r in results}) == 1
+
+    @pytest.mark.parametrize("radius, wave_speed", [(1e300, 1e-10), (1e-300, 1e300)])
+    def test_time_unit_outside_the_float_range_rejected(self, radius, wave_speed):
+        # R/c overflows or underflows to 0: no time axis can be written in seconds
+        with pytest.raises(ValueError, match="radius / wave_speed must be a finite time > 0"):
+            time_support_check(0, radius, wide_cfg(wave_speed=wave_speed))
+
+    @pytest.mark.parametrize("radius", [10**400, -(10**400)])
+    def test_integer_radius_past_the_float_range_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            time_support_check(0, radius, wide_cfg())
 
     @pytest.mark.parametrize("n", [0.5, 2.0, math.nan])
     def test_non_integer_order_rejected(self, n):
@@ -458,32 +535,34 @@ class TestTimeSupport:
             time_support_check(n, 0.1, ChannelConfig(**DEFAULT_CONFIG))
 
     @pytest.mark.parametrize("radius", [0.1, 0.37])
-    @pytest.mark.parametrize("n", [0, 1, 4, 8])
-    def test_blocks_bitwise_equal_to_dense_transform(self, n, radius):
+    @pytest.mark.parametrize("n", [0, 1, 4, 8, 100, 180])
+    def test_chirp_z_matches_dense_transform(self, n, radius):
         cfg = wide_cfg()
-        got = time_support_check(n, radius, cfg)
-        times, energy = dense_time_support(n, radius, cfg)
-        assert got.times.tobytes() == times.tobytes()
-        assert got.energy.tobytes() == energy.tobytes()
+        assert_matches_dense_transform(time_support_check(n, radius, cfg), n, radius, cfg)
 
 
 class TestBlockedStages:
-    """The block and chunk sizes leave every byte and bound the working set."""
+    """The chunk and task sizes leave every byte, and the stages' working sets are bounded."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_campaign_bytes_at_whole_array_and_scalar_limits(self, monkeypatch, seed):
         cfg, p = ChannelConfig(**DEFAULT_CONFIG), TrialPlan(seed=seed)
         shipped = json.dumps(run_campaign(cfg, p).to_dict())
-        monkeypatch.setattr(verify, "_TS_BLOCK_ROWS", sys.maxsize)
         monkeypatch.setattr(verify, "_PB_CHUNK_TRIALS", sys.maxsize)
         monkeypatch.setattr(specfun, "_ARRAY_MIN_ARGS", sys.maxsize)
+        assert json.dumps(run_campaign(cfg, p).to_dict()) == shipped
+        # one chunk per pool task, the finest split
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "_PB_TASK_CHUNKS", 1)
         assert json.dumps(run_campaign(cfg, p).to_dict()) == shipped
 
     @pytest.mark.parametrize("stage", ["time_support", "power_balance", "snr"])
     def test_peak_memory_at_defaults(self, stage):
         cfg, p = ChannelConfig(**DEFAULT_CONFIG), TrialPlan()
         run, bound = {
-            "time_support": (lambda: time_support_check(0, cfg.radius, cfg), 24e6),
+            # a few complex vectors of the FFT length (64 kB each); the
+            # dense (times, frequencies) matrix alone was 32 MB
+            "time_support": (lambda: time_support_check(0, cfg.radius, cfg), 1e6),
             "power_balance": (lambda: power_balance_check(p, cfg, 2 * math.pi * cfg.f0), 24e6),
             # one (trials, K) standard-exponential draw, 2000 x 257 floats
             # (4.1 MB), reduced by einsum with no temporary of its size
@@ -550,13 +629,13 @@ class TestBlockedStagesOverRandomPlans:
     def test_time_support(self, n, radius):
         cfg = wide_cfg()
         got, peak = traced_peak(lambda: time_support_check(n, radius, cfg))
-        times, energy = dense_time_support(n, radius, cfg)
-        assert got.times.tobytes() == times.tobytes()
-        assert got.energy.tobytes() == energy.tobytes()
-        # four (block rows, frequencies) float blocks plus 32 frequency-length
-        # vectors; the dense (times, frequencies) matrix alone is 32 MB
-        freqs = verify._TS_FREQ_SAMPLES
-        assert peak < 8 * (4 * verify._TS_BLOCK_ROWS * freqs + 32 * freqs)
+        assert_matches_dense_transform(got, n, radius, cfg)
+        # the Bessel table's own working set, then at most eight complex
+        # vectors of the FFT length; the dense (times, frequencies) matrix
+        # alone was 32 MB
+        kr = np.linspace(0.0, verify._TS_KR_MAX, verify._TS_FREQ_SAMPLES)
+        _, table_peak = traced_peak(lambda: bessel_j_table(n, kr))
+        assert peak < table_peak + 8 * 16 * verify._TS_FFT_SIZE
 
 
 class TestSnrLaw:
@@ -635,6 +714,37 @@ class TestCampaignWorkers:
         assert main(["simulate", "--num-trials", "300", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {stage} broke\n"
         assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("broken, first", [
+        (("noise_variance_check", "power_balance_check"), "noise_variance_check"),
+        (("power_balance_check", "time_support_check"), "power_balance_check"),
+    ])
+    def test_first_stage_error_in_check_order_wins(self, monkeypatch, broken, first):
+        # the power balance runs in this thread, the other stages on the pool;
+        # either way the error of the earliest stage in check order is raised
+        errors = {stage: ValueError(f"{stage} broke") for stage in broken}
+        for stage, err in errors.items():
+            def fail(*args, err=err):
+                raise err
+            monkeypatch.setattr(verify, stage, fail)
+        with pytest.raises(ValueError) as info:
+            run_campaign(wide_cfg(), plan(num_trials=300))
+        assert info.value is errors[first]
+
+    def test_power_balance_runs_its_tasks_from_the_calling_thread(self, monkeypatch):
+        # a pool task that waited on the pool's own tasks would hang a
+        # 1-worker pool; two workers let such a design finish and fail here
+        real, calls = verify.power_balance_check, []
+
+        def recorded(*args):
+            calls.append((threading.current_thread(), len(args)))
+            return real(*args)
+
+        monkeypatch.setattr(verify, "power_balance_check", recorded)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            run_campaign(wide_cfg(), plan(num_trials=8 * verify._PB_CHUNK_TRIALS + 17))
+        # plan, config, omega and the pool's map
+        assert calls == [(threading.current_thread(), 4)]
 
     def test_probe_error_skips_every_snr_line(self, monkeypatch):
         real = verify.empirical_order_snr
