@@ -251,8 +251,21 @@ def _gain_scale(cfg: ChannelConfig, num_scatterers: int) -> float:
 
 
 def _complex_normal(rng: np.random.Generator, scale: float, shape: tuple) -> np.ndarray:
-    """scale * (x + iy), x and y standard normal; all real parts are drawn first."""
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """scale * (x + iy), x and y standard normal; all real parts are drawn first.
+
+    Built in one complex array, each part drawn into place, then scaled
+    in place, with no complex temporary.  That has the bits of
+    ``scale * (x + 1j * y)`` at scale 0, signed zeros included, and at
+    every scale whose products with the draws stay nonzero; the library's
+    scales are square roots of doubles, so 0 or at least 2.2e-162.  At a
+    subnormal scale a product that underflows can take the other zero
+    sign, and scaling each part on its way in flips zero signs at scale 0.
+    """
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= scale
+    return out
 
 
 def _grid_index(freq_grid: np.ndarray, omega: float) -> int:
@@ -286,8 +299,20 @@ def _planewave_sum(angles: np.ndarray, gains: np.ndarray, kr: float, phi) -> np.
 
     Leading axes broadcast, so one call covers many positions or many
     independent scatterer sets.
+
+    The phasors are cos and sin of the real phase, written into one
+    complex array, with no complex phase and no complex exp.  The sum has
+    the bits of the sum of ``np.exp(1j * kr * np.cos(phi - angles))``:
+    that product's real part is a zero, whose exp is exactly 1, and its
+    imaginary part is ``kr * c + (+0)``.  Where ``kr * c`` is -0, the
+    phasor here is 1-0j, not 1+0j, but einsum sums from +0, so no sign of
+    a zero reaches the result.
     """
-    return np.einsum("...j,...j->...", np.exp(1j * kr * np.cos(phi - angles)), gains)
+    phase = kr * np.cos(phi - angles)
+    phasors = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=phasors.real)
+    np.sin(phase, out=phasors.imag)
+    return np.einsum("...j,...j->...", phasors, gains)
 
 
 def synth_field_planewave(s: ScattererSet, cfg: ChannelConfig, x: tuple[float, float], omega: float) -> complex:

@@ -133,6 +133,19 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     return float(abs(quad - expected))
 
 
+# Cells (float or complex) in one block of a stage that streams its
+# trials: the SNR probes' draws and the power balance's synthesis chunks.
+# At the defaults a block is 255 SNR trials of 257 frequencies (0.5 MB of
+# floats) or 64 power-balance trials of 64 nodes x 16 scatterers (1 MB
+# complex), small enough to stay in cache.
+_BLOCK_CELLS = 2**16
+
+
+def _block_rows(row_cells: int) -> int:
+    """Rows of ``row_cells`` cells in one block: at most _BLOCK_CELLS cells, at least one row."""
+    return max(1, _BLOCK_CELLS // row_cells)
+
+
 def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
     """Delta-method standard error of mean(num)/mean(den), independent parts."""
     t = num.size
@@ -150,6 +163,11 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     realizations.  The signal grid runs from 0 Hz with the spectrum held
     at its envelope p_max, so the estimate probes the detectability bound
     below the physical band as well as inside it.
+
+    The powers are drawn and reduced in blocks of trials, every signal
+    block before the first noise block.  The generator fills blocks in
+    stream order and each trial's sum sees the same numbers, so the result
+    has the bits of one whole (trials, frequencies) draw per part.
     """
     n = _int_arg(n)
     if cfg.noise_var == 0.0:
@@ -171,9 +189,14 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     # Gaussian is its variance times a standard exponential, so the powers
     # are drawn from that law directly: the signal draw, then the noise draw.
     rng = np.random.default_rng(plan.seed)
-    shape = (plan.num_trials, grid.size)
-    sig = np.einsum("tk,k->t", rng.standard_exponential(shape), cfg.p_max * w * j_row**2)
-    den = np.einsum("tk,k->t", rng.standard_exponential(shape), cfg.noise_var * w)
+    t, k = plan.num_trials, grid.size
+    step = _block_rows(k)
+    sig, den = np.empty(t), np.empty(t)
+    for out, weights in ((sig, cfg.p_max * w * j_row**2), (den, cfg.noise_var * w)):
+        for lo in range(0, t, step):
+            rows = out[lo : lo + step]
+            # drawn inline, so each block is freed before the next one is drawn
+            np.einsum("tk,k->t", rng.standard_exponential((rows.size, k)), weights, out=rows)
     snr_hat = float(np.mean(sig) / np.mean(den))
     return SnrEstimate(n=n, f_edge=float(f_edge), snr_hat=snr_hat, stderr=_ratio_stderr(sig, den))
 
@@ -263,11 +286,6 @@ class PowerBalance(NamedTuple):
 # scatterers per Monte Carlo trial of the power balance
 _POWER_BALANCE_SCATTERERS = 16
 
-# Trials synthesized at once by the power balance.  At the default 64
-# nodes a (64, 64, 16) complex block is 1 MB and stays in cache, where the
-# whole (trials, nodes, scatterers) array was 33 MB.
-_PB_CHUNK_TRIALS = 64
-
 # Chunks per task of the power balance's ``map``: the default 2000 trials
 # make 8 tasks, few enough to cost nothing to schedule and small enough to
 # even out the pool's last busy worker.
@@ -306,12 +324,14 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float, map=m
     gains = _complex_normal(rng, _gain_scale(cfg, j), (t, j))
     noise = _white_circle_noise(cfg, rng, (t, m)) if cfg.noise_var > 0.0 else None
     nodes = _circle_nodes(m)[None, :, None]
+    # trials synthesized at once, one (chunk, m, j) complex block
+    chunk = _block_rows(m * j)
 
     def circle_power(starts: range) -> list:
         """Per-trial circle power of the chunks that begin at ``starts``."""
         powers = []
         for lo in starts:
-            rows = slice(lo, lo + _PB_CHUNK_TRIALS)
+            rows = slice(lo, lo + chunk)
             # (chunk, m) field samples on the circle, one scatterer set per trial
             values = _planewave_sum(angles[rows, None, :], gains[rows, None, :], z, nodes)
             if noise is not None:
@@ -319,7 +339,7 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float, map=m
             powers.append(np.mean(np.abs(values) ** 2, axis=1))
         return powers
 
-    starts = range(0, t, _PB_CHUNK_TRIALS)
+    starts = range(0, t, chunk)
     tasks = [starts[i : i + _PB_TASK_CHUNKS] for i in range(0, len(starts), _PB_TASK_CHUNKS)]
     per_trial = np.concatenate([p for powers in map(circle_power, tasks) for p in powers])
     est = float(per_trial.mean())

@@ -132,6 +132,16 @@ class TestMakeScatterers:
         rng.uniform(0.0, 2.0 * math.pi, 5)
         assert np.array_equal(_complex_normal(rng, _gain_scale(cfg, 5), (5, 4)), s.gains)
 
+    @pytest.mark.parametrize("shape", [(7,), (2000, 64), (3, 0)])
+    @pytest.mark.parametrize("scale", [0.0, math.sqrt(5e-324), 0.37, 5.0])
+    def test_complex_normal_has_the_bits_of_the_sum_expression(self, scale, shape):
+        # drawn and scaled in place, signed zeros included; sqrt(5e-324),
+        # the root of the least subnormal, is the smallest nonzero scale
+        # that _gain_scale or the node noise can give
+        rng = np.random.default_rng(SEED)
+        want = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert _complex_normal(np.random.default_rng(SEED), scale, shape).tobytes() == want.tobytes()
+
     def test_angle_range_and_grid(self):
         cfg = base_cfg()
         s = make_scatterers(cfg, 50, 6, seed=SEED)
@@ -636,6 +646,23 @@ class TestSynthesisProperties:
             got = np.array([synth_field_modal(ms, self.CFG, (r, phi), omega) for omega in omegas])
             want = np.array([vectorized_modal_field(ms, self.CFG, (r, phi), omega) for omega in omegas])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kr", [0.0, 5e-324, 1e-8, 0.3, 11.5, 1e300])
+    @pytest.mark.parametrize("phi", [0.0, -0.0, 2.5, -1e300])
+    def test_planewave_sum_has_the_bits_of_the_complex_exp(self, kr, phi):
+        # cos and sin of the real phase against the complex exp they replace
+        rng = np.random.default_rng(SEED)
+        angles = np.concatenate([[0.0, -0.0, math.pi / 2, math.pi, -math.pi, 1e300], rng.uniform(0.0, 7.0, 2042)])
+        phasors = np.exp(1j * kr * np.cos(phi - angles))
+        # one unit gain per row gives each phasor as the sum sees it
+        assert _planewave_sum(angles[:, None], np.ones((angles.size, 1), complex), kr, phi).tobytes() == phasors.tobytes()
+        angles = angles.reshape(-1, 8)
+        gains = rng.standard_normal(angles.shape) + 1j * rng.standard_normal(angles.shape)
+        # zero gains of every sign pair, where a phasor's zero sign could show
+        gains[0, :4] = [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+        gains[1] = complex(0.0, -0.0)
+        want = np.einsum("...j,...j->...", np.exp(1j * kr * np.cos(phi - angles)), gains)
+        assert _planewave_sum(angles, gains, kr, phi).tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

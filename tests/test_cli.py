@@ -1,10 +1,13 @@
 """Command line interface: exit codes, artifacts, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -448,6 +451,70 @@ class TestParser:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# Values every flag may get besides its valid ones: zero, negatives, the
+# non-finite floats, the top of the float range, an integer past it, and
+# non-numbers.
+ODD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", str(10**400), "abc", "")
+
+# Valid values per flag; the simulate plan flags stay small, so a plan
+# that is accepted runs in a few tens of milliseconds.
+VALID_VALUES = {
+    "--f0": ("2e9",), "--half-bw": ("1e9",), "--radius": ("0.05", "0.2"), "--obs-time": ("1e-9",),
+    "--wave-speed": ("3e8",), "--noise-var": ("0.5",), "--p-max": ("100",), "--gamma": ("2",),
+    "--seed": ("0", "5"),
+    "--num-trials": ("100", "150"), "--circle-samples": ("16", "34"), "--n-probe": ("2", "4"),
+    "--freq-samples": ("17", "33"),
+    "--orders": ("0", "3", "10"), "--samples": ("5", "50"), "--z-max": ("10",),
+}
+CONFIG_FLAGS = ("--f0", "--half-bw", "--radius", "--obs-time", "--wave-speed", "--noise-var", "--p-max", "--gamma", "--seed")
+PLAN_FLAGS = ("--num-trials", "--circle-samples", "--n-probe", "--freq-samples")
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with a few of its known flags, each given a valid or an odd value."""
+    def value(flag):
+        return draw(st.sampled_from(VALID_VALUES[flag]) | st.sampled_from(ODD_VALUES))
+
+    command = draw(st.sampled_from(["analyze", "sweep", "simulate", "tables"]))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(CONFIG_FLAGS), max_size=3, unique=True)):
+        argv += [flag, value(flag)]
+    if command == "simulate":
+        # every plan flag is given, so no default-sized campaign runs
+        for flag in PLAN_FLAGS:
+            argv += [flag, value(flag)]
+    elif command == "sweep":
+        axis = draw(st.sampled_from(["radius", "half_bw", "gamma", "obs_time"]))
+        valid = {"radius": ("0.05", "0.1"), "half_bw": ("1e8", "1e9"), "gamma": ("0.5", "2"), "obs_time": ("0", "1e-9")}[axis]
+        values = draw(st.just(list(valid)) | st.lists(st.sampled_from(valid + ODD_VALUES), min_size=1, max_size=3))
+        argv += ["--axis", axis, "--values", *values]
+    elif command == "tables":
+        argv += ["--kind", draw(st.sampled_from(["bessel", "chebyshev"]))]
+        argv += ["--orders", *[value("--orders") for _ in range(draw(st.integers(1, 2)))]]
+        for flag in draw(st.lists(st.sampled_from(["--samples", "--z-max"]), max_size=2, unique=True)):
+            argv += [flag, value(flag)]
+    return argv
+
+
+class TestArgvProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(argv=cli_argvs())
+    def test_exit_code_and_one_error_line(self, argv):
+        # argparse rejections exit through SystemExit; everything else returns
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out", tmp])
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in out.getvalue() + err
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
 
 
 # The report writers before the budget became columnar, kept as the byte
