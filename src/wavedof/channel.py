@@ -156,6 +156,7 @@ class ScattererSet:
             raise ValueError("freq_grid must be strictly increasing with at least 2 points")
         if not np.all(np.isfinite(self.gains)):
             raise ValueError("gains must be finite")
+        object.__setattr__(self, "_grid_memo", None)
 
     @property
     def num_scatterers(self) -> int:
@@ -184,6 +185,7 @@ class ModalSpectrum:
             )
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coeffs must be finite")
+        object.__setattr__(self, "_grid_memo", None)
 
     @cached_property
     def n_max(self) -> int:
@@ -194,6 +196,10 @@ class ModalSpectrum:
         """(|n|, the sign in J_{-n} = (-1)^n J_n, i^n, i n) per order, for synth_field_modal."""
         n = self.orders
         return np.abs(n), np.where((n < 0) & (n % 2 == 1), -1.0, 1.0), _I_POWERS[n % 4], 1j * n
+
+    def _weighted_column(self, idx: int) -> np.ndarray:
+        """i^n alpha_n at grid index idx over the orders, the first factor of a modal synthesis."""
+        return self._synthesis_factors[2] * self.coeffs[:, idx]
 
     def order_row(self, n: int) -> np.ndarray:
         """Coefficient row alpha_n(freq_grid) for a single order."""
@@ -281,12 +287,37 @@ def _grid_index(freq_grid: np.ndarray, omega: float) -> int:
     return idx
 
 
+def _on_grid(holder, omega: float, at_index=None):
+    """``at_index(i)``, or i itself, for omega's index i on ``holder.freq_grid``.
+
+    The holder remembers its last float omega that was on the grid and the
+    value for it, as one tuple replaced whole, so a thread reads one pair
+    or the other.  A float omega equal to it would repeat the same search,
+    so it takes the remembered value; every other omega searches, so one
+    off the grid or not finite always raises.
+    """
+    last = holder._grid_memo
+    remember = isinstance(omega, float)
+    if remember and last is not None and last[0] == omega:
+        return last[1]
+    idx = _grid_index(holder.freq_grid, omega)
+    value = idx if at_index is None else at_index(idx)
+    if remember:
+        object.__setattr__(holder, "_grid_memo", (omega, value))
+    return value
+
+
 def _check_position(cfg: ChannelConfig, x: tuple[float, float], omega: float) -> tuple[float, float]:
     """(r, phi) of a field point: r, phi and omega finite, 0 <= r <= radius."""
     r, phi = x
-    for name, v in (("r", r), ("phi", phi), ("omega", omega)):
-        if not _is_finite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    try:
+        finite = math.isfinite(r) and math.isfinite(phi) and math.isfinite(omega)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        for name, v in (("r", r), ("phi", phi), ("omega", omega)):
+            if not _is_finite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
     if r < 0.0:
         raise ValueError(f"r must be >= 0, got {r}")
     if r > cfg.radius * (1.0 + 1e-12):
@@ -322,7 +353,7 @@ def synth_field_planewave(s: ScattererSet, cfg: ChannelConfig, x: tuple[float, f
     the scatterer set's frequency grid.
     """
     r, phi = _check_position(cfg, x, omega)
-    idx = _grid_index(s.freq_grid, omega)
+    idx = _on_grid(s, omega)
     return complex(_planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * r, phi))
 
 
@@ -350,7 +381,7 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
     if abs(phi) > 2.0 * math.pi:
         # n * phi overflows for a huge phi; the remainder is exact, and |phi| <= 2 pi keeps its bits
         phi = math.remainder(phi, 2.0 * math.pi)
-    idx = _grid_index(ms.freq_grid, omega)
+    weighted = _on_grid(ms, omega, ms._weighted_column)
     z = omega * r / cfg.wave_speed
     # at z = 0 only order 0 contributes, so any stored range suffices
     needed = 0 if z == 0.0 else _modal_order(z)
@@ -361,9 +392,9 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
             RuntimeWarning,
             stacklevel=2,
         )
-    abs_n, sign, i_pow, i_n = ms._synthesis_factors
+    abs_n, sign, _, i_n = ms._synthesis_factors
     j_n = sign * bessel_j_table(ms.n_max, z)[abs_n]
-    return complex((i_pow * ms.coeffs[:, idx] * j_n * np.exp(i_n * phi)).sum())
+    return complex((weighted * j_n * np.exp(i_n * phi)).sum())
 
 
 def _circle_nodes(num_samples: int) -> np.ndarray:
@@ -410,7 +441,7 @@ def synth_field_circle(
             f"got {num_nodes} * {s.num_scatterers} = {num_nodes * s.num_scatterers}"
         )
     nodes = _circle_nodes(num_nodes)
-    idx = _grid_index(s.freq_grid, omega)
+    idx = _on_grid(s, omega)
     values = _planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * cfg.radius, nodes[:, None])
     if with_noise:
         rng = np.random.default_rng(_int_arg(seed, "seed", lo=0))

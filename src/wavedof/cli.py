@@ -167,8 +167,10 @@ def _write_report_json(path: Path, manifest: dict, payload: dict, report: DofRep
     ind = head[head.rfind("\n") + 1:]
     row = (f",\n{ind}  {{\n{ind}    \"dof\": %r,\n{ind}    \"f_crit\": %r,\n"
            f"{ind}    \"n\": %d,\n{ind}    \"w_eff\": %r\n{ind}  }}")
-    # only f_crit can be inf, which JSON spells Infinity; no key holds "inf"
-    blocks = (b.replace("inf", "Infinity") for b in report.format_rows(row, ("dof", "f_crit", "n", "w_eff")))
+    blocks = report.format_rows(row, ("dof", "f_crit", "n", "w_eff"))
+    if np.isinf(report.f_crit).any():
+        # only f_crit can be inf, which JSON spells Infinity; no key holds "inf"
+        blocks = (b.replace("inf", "Infinity") for b in blocks)
     with _artifact(path) as f:
         # the first row's leading comma opens the list instead
         f.write(head + '"per_order": [' + next(blocks)[1:])

@@ -15,6 +15,8 @@ Python floats and lists, because a modal synthesis runs it at one argument
 over up to hundreds of orders, and it takes its steps two at a time: the
 recurrence starts at an even order, so which step of each pair adds to the
 normalization sum is fixed and no step tests its parity.
+A scalar argument inside the domain, the modal synthesis's case, skips the
+table and goes straight to its rule.
 ``bessel_j`` reads one entry of that table.
 """
 
@@ -100,8 +102,8 @@ def _check_order_arg(n: int, z: np.ndarray) -> None:
             raise ValueError(f"argument {rule}, got {z[bad].flat[0]}")
 
 
-def _leading_terms(n_max: int, z: float) -> list:
-    """(z/2)^n / n! for n = 0..n_max, stopping where it underflows to 0.
+def _leading_terms(n_max: int, z: float) -> np.ndarray:
+    """(z/2)^n / n! for n = 0..n_max, 0 from where it underflows to 0.
 
     For 0 <= z < _TINY_Z, (z/2)^2 < 2^-53, so this is J_n(z) to rounding;
     z == 0 gives the unit row.  Gradual underflow to 0 is correct because
@@ -115,7 +117,9 @@ def _leading_terms(n_max: int, z: float) -> list:
         if term == 0.0:
             break
         terms.append(term)
-    return terms
+    row = np.zeros(n_max + 1)
+    row[: len(terms)] = terms
+    return row
 
 
 def _miller_start(n_max: int, z: float) -> int:
@@ -234,9 +238,17 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
     """J_0(z)..J_{n_max}(z) at every argument of z, shape z.shape + (n_max + 1,).
 
     Domain: integer 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an array.
+    A scalar inside the domain returns its rule's row as it is, with no
+    table, classification or domain scan around it; the same row as at that
+    argument in an array.
     """
     n_max = _int_arg(n_max, hi=_MAX_ORDER)
     z = np.asarray(z, dtype=float)
+    if z.ndim == 0 and n_max >= 0:
+        zk = float(z)
+        # a NaN fails both comparisons; any argument that fails one is left to the checks below
+        if 0.0 <= zk <= _MAX_ARG:
+            return _miller_table(n_max, zk) if zk >= _TINY_Z else _leading_terms(n_max, zk)
     _check_order_arg(n_max, z)
     out = np.zeros(z.shape + (n_max + 1,))
     rows = out.reshape(-1, n_max + 1)
@@ -246,8 +258,7 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
         if zk >= _TINY_Z:
             miller.append(i)
         else:
-            terms = _leading_terms(n_max, zk)
-            rows[i, : len(terms)] = terms
+            rows[i] = _leading_terms(n_max, zk)
     if len(miller) >= _ARRAY_MIN_ARGS:
         rows[miller] = _miller_rows(n_max, np.array([args[i] for i in miller]))
     else:

@@ -147,12 +147,22 @@ def _block_rows(row_cells: int) -> int:
 
 
 def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
-    """Delta-method standard error of mean(num)/mean(den), independent parts."""
+    """Delta-method standard error of mean(num)/mean(den), independent parts.
+
+    Each part is first scaled by the power of two that brings its mean into
+    [0.5, 1), and the result scaled back by their ratio, so no square or
+    quotient below under- or overflows for any finite positive means.  A
+    power of two scales every rounding with it, so wherever the unscaled
+    expression stays in the normal range the result has its bits.
+    """
     t = num.size
+    e_num = math.frexp(float(np.mean(num)))[1]
+    e_den = math.frexp(float(np.mean(den)))[1]
+    num, den = np.ldexp(num, -e_num), np.ldexp(den, -e_den)
     nb, db = float(np.mean(num)), float(np.mean(den))
     vn = float(np.var(num)) / t
     vd = float(np.var(den)) / t
-    return math.sqrt(vn / db**2 + (nb / db**2) ** 2 * vd)
+    return math.ldexp(math.sqrt(vn / db**2 + (nb / db**2) ** 2 * vd), e_num - e_den)
 
 
 def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: float) -> SnrEstimate:
@@ -525,6 +535,14 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+# A campaign's nonzero powers, p_max and noise_var, lie in [1/_POWER_SPAN,
+# _POWER_SPAN].  Its checks square powers scaled by up to about 1e7 (circle
+# nodes per 2 pi, exponential tails) and divide by them, and the squares of
+# powers in this range stay normal floats, so no standard error under- or
+# overflows to 0, inf or NaN.
+_POWER_SPAN = 1e100
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -534,6 +552,10 @@ def _usable_cpus() -> int:
 
 def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     """Full verification pass: quadrature, noise, power, SNR, time support.
+
+    Nonzero p_max and noise_var must lie in [1e-100, 1e100], where the
+    squared powers stay inside the float range; other powers are rejected
+    before any stage runs.
 
     The noise, power-balance and time-support stages and every SNR probe
     seed their own generator and spend their time in numpy loops that
@@ -547,6 +569,13 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     # pool, and the executor's imports (logging, queue) cost them about 7 ms
     from concurrent.futures import ThreadPoolExecutor
 
+    for name in ("p_max", "noise_var"):
+        value = getattr(cfg, name)
+        if value != 0.0 and not 1.0 / _POWER_SPAN <= value <= _POWER_SPAN:
+            raise ValueError(
+                f"{name} must be 0 or within [{1.0 / _POWER_SPAN:g}, {_POWER_SPAN:g}] "
+                f"for a verification campaign, got {value}"
+            )
     try:
         probes, probe_error = _snr_probes(cfg, plan), None
     except ValueError as exc:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavedof import specfun
+from wavedof import channel, specfun
 from wavedof.channel import (
     ChannelConfig,
     FieldSamples,
@@ -312,6 +312,9 @@ class TestFieldSynthesis:
             (0.05, -math.inf, 0.0, "phi"),
             (0.05, 0.0, math.nan, "omega"),
             (0.05, 0.0, math.inf, "omega"),
+            # several broken: the first of r, phi, omega is named
+            (math.nan, math.inf, math.nan, "r"),
+            (0.05, math.nan, math.inf, "phi"),
         ],
     )
     def test_nonfinite_or_negative_position_rejected(self, route, r, phi, omega_shift, field):
@@ -362,6 +365,89 @@ class TestFieldSynthesis:
         s = make_scatterers(cfg, 5, 3, seed=SEED)
         with pytest.raises(ValueError, match="grid"):
             synth_field_planewave(s, cfg, (0.05, 0.0), 2 * math.pi * 2.123e9)
+
+    def test_one_grid_search_per_frequency(self, monkeypatch):
+        # a spectrum or scatterer set remembers where its last frequency sits
+        searches = []
+        search = channel._grid_index
+        monkeypatch.setattr(channel, "_grid_index", lambda grid, omega: searches.append(omega) or search(grid, omega))
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 8, 4, seed=SEED)
+        ms = modal_coefficients(s, modal_truncation_order(cfg))
+        rng = np.random.default_rng(SEED)
+        points = list(zip(cfg.radius * rng.random(64), rng.uniform(0.0, 2 * math.pi, 64)))
+        omega = 2 * math.pi * float(s.freq_grid[2])
+        for route, holder in ((synth_field_planewave, s), (synth_field_modal, ms)):
+            searches.clear()
+            for x in points:
+                route(holder, cfg, x, omega)
+            assert searches == [omega]
+        synth_field_circle(s, cfg, 8, omega)
+        assert searches == [omega]
+
+    def test_alternating_frequencies_keep_the_bytes(self):
+        # each call on one spectrum, switching between grid frequencies, gives
+        # the bits of the same call on a fresh copy that remembers nothing
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 8, 5, seed=SEED)
+        ms = modal_coefficients(s, modal_truncation_order(cfg))
+        rng = np.random.default_rng(SEED + 1)
+        ks = [0, 4, 0, 2, 2, 4, 1, 0, 3, 3]
+        got, want = [], []
+        for i, k in enumerate(ks):
+            # Python and numpy floats of one frequency share a memo entry
+            omega = 2 * math.pi * (float(s.freq_grid[k]) if i % 2 else s.freq_grid[k])
+            x = (cfg.radius * float(rng.random()), float(rng.uniform(0.0, 2 * math.pi)))
+            got += [synth_field_modal(ms, cfg, x, omega), synth_field_planewave(s, cfg, x, omega)]
+            want += [synth_field_modal(dataclasses.replace(ms), cfg, x, omega),
+                     synth_field_planewave(dataclasses.replace(s), cfg, x, omega)]
+            got.extend(synth_field_circle(s, cfg, 6, omega).values.ravel())
+            want.extend(synth_field_circle(dataclasses.replace(s), cfg, 6, omega).values.ravel())
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("route", ["planewave", "modal", "circle"])
+    def test_off_grid_frequency_after_a_remembered_one(self, route):
+        cfg = base_cfg()
+        s = make_scatterers(cfg, 5, 3, seed=SEED)
+        ms = modal_coefficients(s, modal_truncation_order(cfg))
+        omega = 2 * math.pi * float(s.freq_grid[1])
+
+        def synth(w):
+            if route == "planewave":
+                return synth_field_planewave(s, cfg, (0.05, 0.3), w)
+            if route == "modal":
+                return synth_field_modal(ms, cfg, (0.05, 0.3), w)
+            return synth_field_circle(s, cfg, 4, w).values.tobytes()
+
+        first = synth(omega)
+        assert synth(omega) == first
+        for off in (omega * (1.0 + 1e-6), math.nextafter(omega, math.inf) * (1.0 + 1e-8)):
+            with pytest.raises(ValueError, match="not on the grid"):
+                synth(off)
+        # the point routes check omega first, the circle finds no grid point for it
+        with pytest.raises(ValueError, match="omega must be finite, got nan|frequency nan Hz is not on the grid"):
+            synth(math.nan)
+        assert synth(omega) == first
+
+    def test_float32_omega_searches_for_itself(self):
+        # np.float32 is no float: equal to the remembered omega, it still
+        # searches in its own precision, which misses some grid points
+        cfg = base_cfg()
+        w32 = np.float32(2 * math.pi * 2.4e9)
+        for _ in range(100):
+            w32 = np.nextafter(w32, np.float32(math.inf))
+            s = ScattererSet(angles=[0.3, 1.1], gains=np.ones((2, 2)), freq_grid=[float(w32) / (2 * math.pi), 2.6e9])
+            try:
+                synth_field_planewave(s, cfg, (0.05, 0.3), w32)
+            except ValueError:
+                break
+        else:
+            pytest.fail("no float32 omega whose own search misses its grid point")
+        ms = modal_coefficients(s, modal_truncation_order(cfg))
+        for route, holder in ((synth_field_planewave, s), (synth_field_modal, ms)):
+            route(holder, cfg, (0.05, 0.3), float(w32))
+            with pytest.raises(ValueError, match="not on the grid"):
+                route(holder, cfg, (0.05, 0.3), w32)
 
     def test_undertruncated_modal_sum_warns(self):
         cfg = base_cfg()

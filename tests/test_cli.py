@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wavedof import __version__, cli, dofcore
@@ -169,6 +169,9 @@ class TestConfigFile:
         assert "# seed: 4\n" in (tmp_path / "dof_report.csv").read_text()
 
 
+SMALL_PLAN = ["--num-trials", "100", "--freq-samples", "33", "--n-probe", "4", "--circle-samples", "16"]
+
+
 class TestRejectedInputs:
     @pytest.mark.parametrize(
         "argv,config,named",
@@ -194,6 +197,12 @@ class TestRejectedInputs:
             (["tables", "--kind", "bessel", "--orders", "10000", "--samples", "420"], None, "420 * 10001"),
             (["tables", "--kind", "chebyshev", "--orders", "1", "2", "2", "--samples", "1048577"], None, "* 4 ="),
             (["simulate", "--seed", "-1", "--num-trials", "150"], None, "seed must be >= 0, got -1"),
+            # a campaign squares its powers; these ended in a traceback or NaN estimates
+            (["simulate", *SMALL_PLAN, "--noise-var", "1e-300"], None, "noise_var must be 0 or within [1e-100, 1e+100]"),
+            (["simulate", *SMALL_PLAN, "--noise-var", "1e-150"], None, "got 1e-150"),
+            (["simulate", *SMALL_PLAN, "--noise-var", "1e308"], None, "noise_var must be 0 or within"),
+            (["simulate", *SMALL_PLAN, "--p-max", "1e308"], None, "p_max must be 0 or within"),
+            (["simulate", *SMALL_PLAN, "--p-max", "1e-101"], None, "p_max must be 0 or within"),
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, config, named):
@@ -462,7 +471,9 @@ ODD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", str(10**400), "abc", "")
 # that is accepted runs in a few tens of milliseconds.
 VALID_VALUES = {
     "--f0": ("2e9",), "--half-bw": ("1e9",), "--radius": ("0.05", "0.2"), "--obs-time": ("1e-9",),
-    "--wave-speed": ("3e8",), "--noise-var": ("0.5",), "--p-max": ("100",), "--gamma": ("2",),
+    "--wave-speed": ("3e8",), "--gamma": ("2",),
+    # tiny powers too, which analyze takes and simulate rejects
+    "--noise-var": ("0.5", "1e-300", "1e-150"), "--p-max": ("100", "1e-300", "1e-150"),
     "--seed": ("0", "5"),
     "--num-trials": ("100", "150"), "--circle-samples": ("16", "34"), "--n-probe": ("2", "4"),
     "--freq-samples": ("17", "33"),
@@ -502,10 +513,17 @@ def cli_argvs(draw):
 class TestArgvProperty:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(argv=cli_argvs())
+    @example(argv=["simulate", "--noise-var", "1e-300", *SMALL_PLAN])
+    @example(argv=["simulate", "--noise-var", "1e-150", *SMALL_PLAN])
+    @example(argv=["simulate", "--noise-var", "1e308", *SMALL_PLAN])
+    @example(argv=["simulate", "--p-max", "1e308", *SMALL_PLAN])
     def test_exit_code_and_one_error_line(self, argv):
-        # argparse rejections exit through SystemExit; everything else returns
+        # argparse rejections exit through SystemExit; everything else returns;
+        # no input may warn its way to a NaN or an overflow
         out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             try:
                 code = main([*argv, "--out", tmp])
             except SystemExit as exc:

@@ -410,6 +410,26 @@ class TestBesselDomain:
         with pytest.raises(ValueError, match=f"order must be an integer, got {n!r}"):
             bessel_j_table(n, [1.0, 20.0])
 
+    @pytest.mark.parametrize("n", [-1, 0, 5, 60])
+    @pytest.mark.parametrize(
+        "z",
+        [0.0, -0.0, 5e-324, math.nextafter(_TINY_Z, 0.0), _TINY_Z, 13.0, 1e5, math.nextafter(1e5, math.inf),
+         math.nan, math.inf, -math.inf, -0.5],
+    )
+    def test_one_argument_is_its_array_row(self, n, z):
+        # a scalar skips the table and the domain scan; in the domain it gives
+        # the row of a one-argument array bit for bit, outside it the same message
+        def outcome(arg):
+            try:
+                return bessel_j_table(n, arg).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        want = outcome(np.array([z]))
+        forms = [z, np.float64(z), np.array(z)] + ([int(z)] if math.isfinite(z) and z == int(z) else [])
+        for form in forms:
+            assert outcome(form) == want, form
+
     def test_integer_types_accepted(self):
         want = bessel_j_table(3, 1.5)
         assert bessel_j_table(np.int64(3), 1.5).tobytes() == want.tobytes()

@@ -2,6 +2,7 @@
 calibration, noise statistics, power balance, time support, and the
 end-to-end detectability audit."""
 
+import contextlib
 import json
 import math
 import os
@@ -63,6 +64,9 @@ def plan(**kw):
     d.update(kw)
     return TrialPlan(**d)
 
+
+# the smallest plan the CLI tests run
+SMALL_PLAN = TrialPlan(num_trials=100, circle_samples=16, seed=SEED, n_probe=4, freq_samples=33)
 
 # trials in one power-balance chunk at plan()'s 64 nodes
 PB_CHUNK = verify._block_rows(64 * verify._POWER_BALANCE_SCATTERERS)
@@ -355,6 +359,45 @@ class TestEmpiricalSnr:
             assert est.snr_hat <= bound + 3.0 * est.stderr, (
                 f"n={n} f_edge={f_edge:.3g}: {est.snr_hat:.3g} above bound {bound:.3g}"
             )
+
+
+def old_ratio_stderr(num, den):
+    """_ratio_stderr without its power-of-two scaling: its oracle wherever this neither under- nor overflows."""
+    t = num.size
+    nb, db = float(np.mean(num)), float(np.mean(den))
+    vn = float(np.var(num)) / t
+    vd = float(np.var(den)) / t
+    return math.sqrt(vn / db**2 + (nb / db**2) ** 2 * vd)
+
+
+class TestRatioStderr:
+    @pytest.mark.parametrize("t", [100, 2000])
+    @pytest.mark.parametrize("scale_num, scale_den", [(1.0, 1.0), (1e3, 0.37), (1e-40, 3e50), (7.1e60, 2e-30), (0.0, 1.0)])
+    def test_unscaled_bits_in_the_normal_range(self, t, scale_num, scale_den):
+        rng = np.random.default_rng(SEED)
+        num = scale_num * rng.standard_exponential(t)
+        den = scale_den * rng.standard_exponential(t)
+        assert verify._ratio_stderr(num, den) == old_ratio_stderr(num, den)
+
+    @pytest.mark.parametrize(
+        "e_num, e_den",
+        # pairs whose ratio of means, 2^(e_num - e_den), stays in the float range
+        [(a, b) for a in (-1000, -500, 0, 500, 1000) for b in (-1000, -500, 0, 500, 1000) if abs(a - b) <= 1000],
+    )
+    def test_finite_for_finite_positive_means(self, e_num, e_den):
+        # means of 2^-1000 made the old form divide by an underflowed zero,
+        # means of 2^500 over 2^-500 overflow its squared quotient; a power of
+        # two scales the result exactly wherever that stays in range
+        rng = np.random.default_rng(SEED)
+        num, den = rng.standard_exponential(500), 0.3 + rng.standard_exponential(500)
+        got = verify._ratio_stderr(np.ldexp(num, e_num), np.ldexp(den, e_den))
+        assert got == math.ldexp(old_ratio_stderr(num, den), e_num - e_den)
+        assert 0.0 < got < math.inf
+
+    def test_subnormal_means(self):
+        rng = np.random.default_rng(SEED)
+        got = verify._ratio_stderr(np.ldexp(1.0 + rng.random(300), -1070), np.ldexp(1.0 + rng.random(300), -1060))
+        assert 0.0 < got < math.inf
 
 
 class TestNoiseVariance:
@@ -889,6 +932,29 @@ class TestCampaign:
             subprocess.run(argv, env=env, capture_output=True, check=True, timeout=300)
             artifacts.append((tmp_path / "verification.json").read_bytes())
         assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize(
+        "kw, name",
+        [(dict(noise_var=1e-300), "noise_var"), (dict(noise_var=1e-150), "noise_var"), (dict(noise_var=1e308), "noise_var"),
+         (dict(p_max=1e308), "p_max"), (dict(p_max=5e-324), "p_max"), (dict(p_max=1.01e100, noise_var=1e-101), "p_max")],
+    )
+    def test_powers_outside_the_span_rejected_before_any_stage(self, kw, name):
+        stages = ("noise_variance_check", "power_balance_check", "time_support_check", "empirical_order_snr")
+        with contextlib.ExitStack() as stack:
+            for stage in stages:
+                stack.enter_context(mock.patch.object(verify, stage, side_effect=AssertionError(f"{stage} ran")))
+            with pytest.raises(ValueError, match=rf"^{name} must be 0 or within \[1e-100, 1e\+100\] for a verification campaign"):
+                run_campaign(wide_cfg(**kw), SMALL_PLAN)
+
+    @pytest.mark.parametrize("p_max, noise_var", [(1e100, 1e97), (1e-97, 1e-100)])
+    def test_powers_at_the_span_edges(self, p_max, noise_var):
+        # both powers scaled alike: finite estimates, no warning, the unit-scale verdicts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            edge = run_campaign(wide_cfg(p_max=p_max, noise_var=noise_var), SMALL_PLAN)
+        unit = run_campaign(wide_cfg(), SMALL_PLAN)
+        assert all(math.isfinite(c.estimate) and math.isfinite(c.stderr) for c in edge.checks)
+        assert [(c.name, c.verdict) for c in edge.checks] == [(c.name, c.verdict) for c in unit.checks]
 
     def test_plan_floor_enforced(self):
         with pytest.raises(ValueError, match="statistical"):
