@@ -11,14 +11,13 @@ circle is modelled per angular quadrature node.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .specfun import _MAX_ORDER, _int_arg, bessel_j_table
+from .specfun import _FLOAT_MAX, _MAX_ORDER, _int_arg, _real_arg, bessel_j_table
 
 __all__ = [
     "ChannelConfig",
@@ -49,11 +48,10 @@ _I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 class ChannelConfig:
     """Physical scenario: band, geometry, observation time, noise and threshold.
 
-    Every field is a finite real number: Python and numpy ints and
-    floats pass and are kept as given; bools, strings, None and other
-    non-numbers raise a ValueError naming the field.  ``radius``,
-    ``noise_var`` and ``p_max`` admit 0 as degenerate limits (point
-    observation region, noiseless sensing, silent channel); the operations
+    Every field is a finite real number, kept as given (see
+    ``specfun._real_arg``), with f0 > half_bw > 0 and wave_speed, gamma > 0.
+    The rest admit 0 as degenerate limits (point observation region, no
+    observation time, noiseless sensing, silent channel); the operations
     that would divide by them reject the degenerate value instead.
     """
 
@@ -68,25 +66,10 @@ class ChannelConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            # bool is an int subclass, but True is no length, time or power
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not _is_finite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            lo = -_FLOAT_MAX if name in ("f0", "half_bw") else 0.0
+            _real_arg(value, name, lo, open_lo=name in ("wave_speed", "gamma"))
         if not self.f0 > self.half_bw > 0.0:
             raise ValueError(f"band must satisfy f0 > half_bw > 0, got f0={self.f0}, half_bw={self.half_bw}")
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.obs_time < 0.0:
-            raise ValueError(f"obs_time must be >= 0, got {self.obs_time}")
-        if self.wave_speed <= 0.0:
-            raise ValueError(f"wave_speed must be > 0, got {self.wave_speed}")
-        if self.noise_var < 0.0:
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
-        if self.p_max < 0.0:
-            raise ValueError(f"p_max must be >= 0, got {self.p_max}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
     @property
     def band_low(self) -> float:
@@ -104,14 +87,6 @@ class ChannelConfig:
     def to_dict(self) -> dict:
         """The fields by name, in declaration order; the values themselves, not copies."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-
-def _is_finite(value) -> bool:
-    """math.isfinite, False for an integer past the float range instead of an OverflowError."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def symmetric_orders(n_max: int) -> np.ndarray:
@@ -275,15 +250,11 @@ def _complex_normal(rng: np.random.Generator, scale: float, shape: tuple) -> np.
 
 
 def _grid_index(freq_grid: np.ndarray, omega: float) -> int:
-    try:
-        f = omega / (2.0 * math.pi)
-    except OverflowError:  # an integer past the float range
-        raise ValueError(f"omega must be finite, got {omega}") from None
+    f = _real_arg(omega, "omega") / (2.0 * math.pi)
     idx = int(np.abs(freq_grid - f).argmin())
     scale = max(abs(freq_grid.item(-1)), 1.0)
-    # written so that a NaN frequency fails the test
     if not abs(freq_grid.item(idx) - f) <= 1e-9 * scale:
-        raise ValueError(f"frequency {f} Hz is not on the grid")
+        raise ValueError(f"frequency {f} Hz of omega = {omega} is not on the grid")
     return idx
 
 
@@ -308,20 +279,13 @@ def _on_grid(holder, omega: float, at_index=None):
 
 
 def _check_position(cfg: ChannelConfig, x: tuple[float, float], omega: float) -> tuple[float, float]:
-    """(r, phi) of a field point: r, phi and omega finite, 0 <= r <= radius."""
+    """(r, phi) of a field point: r, phi and omega real and finite, 0 <= r <= radius."""
     r, phi = x
-    try:
-        finite = math.isfinite(r) and math.isfinite(phi) and math.isfinite(omega)
-    except OverflowError:  # an integer past the float range
-        finite = False
-    if not finite:
-        for name, v in (("r", r), ("phi", phi), ("omega", omega)):
-            if not _is_finite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-    if r < 0.0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    _real_arg(r, "r", 0.0)
+    _real_arg(phi, "phi")
+    _real_arg(omega, "omega")
     if r > cfg.radius * (1.0 + 1e-12):
-        raise ValueError(f"position radius {r} outside observation disk radius {cfg.radius}")
+        raise ValueError(f"r must be <= the disk radius {cfg.radius}, got {r}")
     return r, phi
 
 

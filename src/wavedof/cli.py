@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelConfig
 from .dofcore import DofReport, total_dof
-from .specfun import bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
+from .specfun import _real_arg, bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
 from .verify import TrialPlan, run_campaign
 
 __all__ = ["main", "load_config_file"]
@@ -274,8 +274,8 @@ def cmd_tables(args, file_vals: dict) -> int:
             f"samples * columns must be <= {_MAX_TABLE_CELLS} cells, "
             f"got {args.samples} * {columns} = {args.samples * columns}"
         )
-    if args.kind == "bessel" and not 0.0 < args.z_max < np.inf:
-        raise CliError(f"z-max must be positive and finite, got {args.z_max}")
+    if args.kind == "bessel":
+        _real_arg(args.z_max, "z-max", 0.0, open_lo=True)
     manifest = _manifest(args, "tables")
     out = _out_dir(args)
     n_top = max(orders)

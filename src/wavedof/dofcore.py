@@ -17,8 +17,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelConfig, _is_finite
-from .specfun import _MAX_FLOAT_ORDER, _int_arg
+from .channel import ChannelConfig
+from .specfun import _MAX_FLOAT_ORDER, _int_arg, _real_arg
 
 __all__ = [
     "SnrBound",
@@ -52,7 +52,7 @@ _STITCH_ROWS = 4096
 
 
 class SnrBound(NamedTuple):
-    """Per-order SNR ceiling; ``value`` may overflow to inf, ``log_value`` never does."""
+    """Per-order SNR ceiling; ``value`` may overflow to inf, ``log_value`` only at a freq near the float range."""
 
     log_value: float
     value: float
@@ -136,11 +136,10 @@ def snr_upper_bound(cfg: ChannelConfig, n: int, freq: float) -> SnrBound:
 
     snr_max * exp(-(2n - 2 pi e f R / c)), from the small-argument
     Bessel envelope; meaningful in the evanescent regime
-    2 pi f R / c < n.
+    2 pi f R / c < n.  ``value`` may be inf, ``log_value`` too at a freq as high as 1e308.
     """
     n = abs(_signed_order(n))
-    if not (_is_finite(freq) and freq >= 0.0):
-        raise ValueError(f"freq must be finite and >= 0, got {freq}")
+    _real_arg(freq, "freq", 0.0)
     s = snr_max(cfg)
     if s == 0.0:
         return SnrBound(-math.inf, 0.0)

@@ -23,7 +23,9 @@ table and goes straight to its rule.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +45,9 @@ _MAX_ORDER = 10_000
 # frequencies, SNR ceilings, Stirling's bound, quadrature phases): floats
 # hold every integer up to 2^53 exactly, and none past about 1.8e308.
 _MAX_FLOAT_ORDER = 2**53
+
+# A real argument's bounds: the two comparisons that pass a float inside them reject NaN and inf
+_FLOAT_MAX = sys.float_info.max
 
 # Miller's recurrence runs O(z) steps in Python, about 14 ms for one
 # argument at this bound (2-vCPU Xeon VM); the campaign's probes stay below
@@ -85,6 +90,37 @@ def _int_arg(value, name: str = "order", lo: int | None = None, hi: int | None =
     if hi is not None and n > hi:
         raise ValueError(f"{name} must be <= {hi}, got {n}")
     return n
+
+
+def _real_arg(value, name: str, lo: float = -_FLOAT_MAX, open_lo: bool = False):
+    """A finite real argument >= lo (> lo if ``open_lo``), returned as given.
+
+    Python and numpy integers and floats pass unconverted.  Booleans,
+    strings, None, complex numbers, arrays, NaN, infinities, integers past
+    the float range and values below ``lo`` are a ValueError naming ``name``.
+    """
+    # the common case, a float such as every synthesis point's, by two comparisons
+    if type(value) is float and lo <= value <= _FLOAT_MAX and not (open_lo and value == lo):
+        return value
+    # bool is an int subclass, but True is no length, time or power
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    # exact for an integer of any size; a float32 would take the bounds in its own, narrower range
+    v = value if isinstance(value, numbers.Integral) else float(value)
+    if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if v < lo or (open_lo and v == lo):
+        raise ValueError(f"{name} must be {'>' if open_lo else '>='} {lo:g}, got {value}")
+    return value
+
+
+def _real_array(z, name: str) -> np.ndarray:
+    """z, a scalar or an array of integers or floats, as a float array; any other z is a ValueError naming ``name``."""
+    # checked before the cast, which reads a bool as 0 or 1, a digit string as its number and None as NaN
+    arr = np.asarray(z)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {(arr.item() if arr.ndim == 0 else arr)!r}")
+    return arr.astype(float, copy=False)
 
 
 def _check_order_arg(n: int, z: np.ndarray) -> None:
@@ -237,13 +273,14 @@ def _miller_rows(n_max: int, z: np.ndarray) -> np.ndarray:
 def bessel_j_table(n_max: int, z) -> np.ndarray:
     """J_0(z)..J_{n_max}(z) at every argument of z, shape z.shape + (n_max + 1,).
 
-    Domain: integer 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an array.
+    Domain: integer 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an
+    array of integers or floats (a bool, string, None or complex is rejected).
     A scalar inside the domain returns its rule's row as it is, with no
     table, classification or domain scan around it; the same row as at that
     argument in an array.
     """
     n_max = _int_arg(n_max, hi=_MAX_ORDER)
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float) if type(z) is float else _real_array(z, "argument")
     if z.ndim == 0 and n_max >= 0:
         zk = float(z)
         # a NaN fails both comparisons; any argument that fails one is left to the checks below
@@ -269,7 +306,7 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
 
 def bessel_j(n: int, z: float) -> float:
     """Bessel function of the first kind J_n(z) for integer n >= 0, z >= 0."""
-    return float(bessel_j_table(n, float(z))[n])
+    return float(bessel_j_table(n, float(_real_arg(z, "argument")))[n])
 
 
 def _chebyshev(n, z, first_step: float):
@@ -278,7 +315,7 @@ def _chebyshev(n, z, first_step: float):
     ``z`` is a scalar (float result) or an array (array result, elementwise).
     """
     n = _int_arg(n, lo=0, hi=_MAX_ORDER)
-    z_arr = np.asarray(z, dtype=float)
+    z_arr = _real_array(z, "Chebyshev argument")
     outside = ~(np.abs(z_arr) <= 1.0)
     if outside.any():
         raise ValueError(f"Chebyshev polynomials are defined on [-1, 1], got {z_arr[outside][0]}")

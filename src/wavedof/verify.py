@@ -26,7 +26,6 @@ from .channel import (
     _circle_nodes,
     _complex_normal,
     _gain_scale,
-    _is_finite,
     _modal_order,
     _node_noise_var,
     _planewave_sum,
@@ -34,7 +33,7 @@ from .channel import (
     symmetric_orders,
 )
 from .dofcore import critical_frequency, truncation_order
-from .specfun import _MAX_FLOAT_ORDER, _int_arg, bessel_j_table
+from .specfun import _MAX_FLOAT_ORDER, _MAX_ORDER, _int_arg, _real_arg, bessel_j_table
 
 __all__ = [
     "TrialPlan",
@@ -165,6 +164,25 @@ def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float:
     return math.ldexp(math.sqrt(vn / db**2 + (nb / db**2) ** 2 * vd), e_num - e_den)
 
 
+# A campaign's nonzero powers, p_max and noise_var, lie in [1/_POWER_SPAN,
+# _POWER_SPAN], in a campaign and in each stage called alone.  Its checks
+# square powers scaled by up to about 1e7 (circle nodes per 2 pi,
+# exponential tails) and divide by them, and the squares of powers in this
+# range stay normal floats, so no standard error under- or overflows to 0,
+# inf or NaN.
+_POWER_SPAN = 1e100
+
+
+def _check_powers(cfg: ChannelConfig) -> None:
+    """Reject a nonzero p_max or noise_var outside [1/_POWER_SPAN, _POWER_SPAN]."""
+    for name, value in (("p_max", cfg.p_max), ("noise_var", cfg.noise_var)):
+        if value != 0.0 and not 1.0 / _POWER_SPAN <= value <= _POWER_SPAN:
+            raise ValueError(
+                f"{name} must be 0 or within [{1.0 / _POWER_SPAN:g}, {_POWER_SPAN:g}] "
+                f"for a verification campaign, got {value}"
+            )
+
+
 def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: float) -> SnrEstimate:
     """Monte Carlo per-order SNR over the band [grid start, f_edge].
 
@@ -179,10 +197,11 @@ def empirical_order_snr(plan: TrialPlan, cfg: ChannelConfig, n: int, f_edge: flo
     stream order and each trial's sum sees the same numbers, so the result
     has the bits of one whole (trials, frequencies) draw per part.
     """
+    _check_powers(cfg)
     n = _int_arg(n)
     if cfg.noise_var == 0.0:
         raise ValueError("empirical SNR is undefined for noise_var == 0")
-    if not 0.0 < f_edge <= cfg.band_high * (1.0 + 1e-9):
+    if not 0.0 < _real_arg(f_edge, "f_edge") <= cfg.band_high * (1.0 + 1e-9):
         raise ValueError(f"f_edge must lie in (0, band_high], got {f_edge}")
     grid = np.linspace(0.0, cfg.band_high, plan.freq_samples)
     grid = grid[grid <= f_edge * (1.0 + 1e-12)]
@@ -219,6 +238,7 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
     multiple-comparison-adjusted threshold, with the (1, 2) pair reported
     as its own 3 sigma line.
     """
+    _check_powers(cfg)
     orders = symmetric_orders(plan.n_probe)
     target = 2.0 * math.pi * cfg.noise_var
     results = []
@@ -296,10 +316,9 @@ class PowerBalance(NamedTuple):
 # scatterers per Monte Carlo trial of the power balance
 _POWER_BALANCE_SCATTERERS = 16
 
-# Chunks per task of the power balance's ``map``: the default 2000 trials
-# make 8 tasks, few enough to cost nothing to schedule and small enough to
-# even out the pool's last busy worker.
-_PB_TASK_CHUNKS = 4
+# The largest kR = omega R / c whose modal reference the Bessel kernel
+# evaluates: _modal_order(kR) = ceil(e kR / 2) + 12 stays <= _MAX_ORDER.
+_PB_MAX_KR = 2.0 * (_MAX_ORDER - 12) / math.e
 
 
 def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float, map=map) -> PowerBalance:
@@ -309,17 +328,17 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float, map=m
     J_n(omega R/c)^2 plus the node noise power.  The Monte Carlo residual
     estimates the left side from synthesized fields; ``tail`` substitutes
     the expectation exactly, which leaves the truncation tail of
-    sum_n J_n^2 = 1.
+    sum_n J_n^2 = 1; its orders up to 10^4 bound kR = omega R / c by 7348.76.
 
-    Every random number is drawn first, then ``map`` synthesizes the
-    trials in tasks of a few chunks each: the builtin map runs them here,
-    an executor's ``map`` on its pool.  Each trial's power is computed
-    alone and the tasks come back in order, so the result's bits do not
-    depend on which.
+    Every random number is drawn first, then ``map`` synthesizes the trials
+    one chunk per task: the builtin map runs them here, an executor's ``map``
+    on its pool.  Each trial's power is computed alone and the tasks come
+    back in order, so the result's bits do not depend on which.
     """
-    z = omega * cfg.radius / cfg.wave_speed if _is_finite(omega) else math.inf
-    if not 0.0 <= z < math.inf:
-        raise ValueError(f"omega and radius must be finite and nonnegative, got omega={omega}, kr={z}")
+    _check_powers(cfg)
+    z = _real_arg(omega, "omega", 0.0) * cfg.radius / cfg.wave_speed
+    if not z <= _PB_MAX_KR:  # also false for a kR that overflowed to inf
+        raise ValueError(f"omega must keep kR = omega * radius / wave_speed <= {_PB_MAX_KR:.6g}, got kR = {z:g}")
     j_tab = bessel_j_table(_modal_order(z), z)
     modal_sum = cfg.p_max * (j_tab[0] ** 2 + 2.0 * np.sum(j_tab[1:] ** 2))
     m = plan.circle_samples
@@ -337,21 +356,16 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float, map=m
     # trials synthesized at once, one (chunk, m, j) complex block
     chunk = _block_rows(m * j)
 
-    def circle_power(starts: range) -> list:
-        """Per-trial circle power of the chunks that begin at ``starts``."""
-        powers = []
-        for lo in starts:
-            rows = slice(lo, lo + chunk)
-            # (chunk, m) field samples on the circle, one scatterer set per trial
-            values = _planewave_sum(angles[rows, None, :], gains[rows, None, :], z, nodes)
-            if noise is not None:
-                values = values + noise[rows]
-            powers.append(np.mean(np.abs(values) ** 2, axis=1))
-        return powers
+    def circle_power(lo: int) -> np.ndarray:
+        """Per-trial circle power of the chunk that begins at trial ``lo``."""
+        rows = slice(lo, lo + chunk)
+        # (chunk, m) field samples on the circle, one scatterer set per trial
+        values = _planewave_sum(angles[rows, None, :], gains[rows, None, :], z, nodes)
+        if noise is not None:
+            values = values + noise[rows]
+        return np.mean(np.abs(values) ** 2, axis=1)
 
-    starts = range(0, t, chunk)
-    tasks = [starts[i : i + _PB_TASK_CHUNKS] for i in range(0, len(starts), _PB_TASK_CHUNKS)]
-    per_trial = np.concatenate([p for powers in map(circle_power, tasks) for p in powers])
+    per_trial = np.concatenate(list(map(circle_power, range(0, t, chunk))))
     est = float(per_trial.mean())
     se = float(per_trial.std() / math.sqrt(t))
     scale = max(reference, 1e-300)
@@ -418,8 +432,7 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
         raise ValueError(
             f"order must satisfy |order| <= {_TS_MAX_ORDER}, 0.9 of the band edge kR = {_TS_KR_MAX:g}, got {n}"
         )
-    if not (_is_finite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    _real_arg(radius, "radius", 0.0, open_lo=True)
     # Python floats give inf or 0 here where numpy scalars would warn
     t_unit = float(radius) / float(cfg.wave_speed)
     if not 0.0 < t_unit < math.inf:
@@ -535,14 +548,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-# A campaign's nonzero powers, p_max and noise_var, lie in [1/_POWER_SPAN,
-# _POWER_SPAN].  Its checks square powers scaled by up to about 1e7 (circle
-# nodes per 2 pi, exponential tails) and divide by them, and the squares of
-# powers in this range stay normal floats, so no standard error under- or
-# overflows to 0, inf or NaN.
-_POWER_SPAN = 1e100
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -569,13 +574,7 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     # pool, and the executor's imports (logging, queue) cost them about 7 ms
     from concurrent.futures import ThreadPoolExecutor
 
-    for name in ("p_max", "noise_var"):
-        value = getattr(cfg, name)
-        if value != 0.0 and not 1.0 / _POWER_SPAN <= value <= _POWER_SPAN:
-            raise ValueError(
-                f"{name} must be 0 or within [{1.0 / _POWER_SPAN:g}, {_POWER_SPAN:g}] "
-                f"for a verification campaign, got {value}"
-            )
+    _check_powers(cfg)
     try:
         probes, probe_error = _snr_probes(cfg, plan), None
     except ValueError as exc:

@@ -4,13 +4,18 @@ Every parameter annotated ``int`` takes Python and numpy integers, and the
 result does not depend on which; booleans, floats, strings, None and
 out-of-range integers raise a ValueError that names the parameter.  One
 table lists every such parameter, and a guard keeps the table complete.
-Every ``ChannelConfig`` field takes a finite real number under one rule,
-and an integer past the float range is a ValueError naming the parameter
-wherever a float is expected.
+Every parameter annotated ``float``, and the r and phi of a position,
+takes a finite real number under one rule: booleans, strings, None,
+complex numbers, NaN, infinities and integers past the float range raise
+a ValueError that names the parameter, and no call returns a NaN or an
+undocumented infinity.  A second table lists those, under its own guard.
 """
 
+import cmath
+import dataclasses
 import inspect
 import math
+import numbers
 import pickle
 import re
 import warnings
@@ -34,11 +39,14 @@ from wavedof import (
     empirical_order_snr,
     make_scatterers,
     modal_coefficients,
+    modal_truncation_order,
     orthogonality_check,
     power_balance_check,
     snr_upper_bound,
     stirling_gamma_lower,
     synth_field_circle,
+    synth_field_modal,
+    synth_field_planewave,
     time_support_check,
 )
 
@@ -175,31 +183,131 @@ def test_every_int_parameter_is_in_the_table():
     assert RESULT_RECORDS <= found
 
 
-# (entry point, parameter, call with the value in that parameter): floats
-# where an integer past the float range once leaked an OverflowError
-FLOAT_PARAMS = [
-    ("snr_upper_bound", "freq", lambda v: snr_upper_bound(CFG, 2, v)),
-    ("time_support_check", "radius", lambda v: time_support_check(0, v, CFG)),
-    ("power_balance_check", "omega", lambda v: power_balance_check(SMALL_PLAN, CFG, v)),
-    ("synth_field_circle", "omega", lambda v: synth_field_circle(SCATTERERS, CFG, 8, v)),
-]
-
-
-@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
-@pytest.mark.parametrize("param, call", [p[1:] for p in FLOAT_PARAMS], ids=[f"{p[0]}.{p[1]}" for p in FLOAT_PARAMS])
-def test_integer_past_the_float_range_named(param, call, value):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=rf"\b{param}\b"):
-            call(value)
-
-
 CONFIG_KW = dict(f0=1.5e9, half_bw=1.3e9, radius=0.1, obs_time=0.0, wave_speed=3e8, p_max=1000.0)
 CONFIG_FIELDS = list(ChannelConfig.__dataclass_fields__)
+MODAL = modal_coefficients(SCATTERERS, modal_truncation_order(CFG))
 
 
 def _config(name, value):
     return ChannelConfig(**{**CONFIG_KW, name: value})
+
+
+class FloatParam(NamedTuple):
+    owner: str              # the entry point's name in the wavedof namespace
+    param: str              # x[0] and x[1] for the r and phi of a position x
+    label: str              # the name its ValueError gives
+    call: Callable          # the entry point with the value in that parameter
+    accepted: float         # a value it accepts
+    inf_ok: bool = False    # its docstring documents an infinite result
+
+
+def _position_params(owner: str, route: Callable, holder) -> list:
+    return [
+        FloatParam(owner, "x[0]", "r", lambda v: route(holder, CFG, (v, 0.3), OMEGA), 0.05),
+        FloatParam(owner, "x[1]", "phi", lambda v: route(holder, CFG, (0.05, v), OMEGA), 0.3),
+        FloatParam(owner, "omega", "omega", lambda v: route(holder, CFG, (0.05, 0.3), v), OMEGA),
+    ]
+
+
+FLOAT_PARAMS = [
+    *(FloatParam("ChannelConfig", name, name, lambda v, name=name: _config(name, v), CONFIG_KW.get(name, 1.0))
+      for name in CONFIG_FIELDS),
+    *_position_params("synth_field_planewave", synth_field_planewave, SCATTERERS),
+    *_position_params("synth_field_modal", synth_field_modal, MODAL),
+    FloatParam("synth_field_circle", "omega", "omega", lambda v: synth_field_circle(SCATTERERS, CFG, 8, v), OMEGA),
+    FloatParam("bessel_j", "z", "argument", lambda v: bessel_j(2, v), 1.5),
+    # SnrBound: value overflows to inf, and log_value where the exponent does
+    FloatParam("snr_upper_bound", "freq", "freq", lambda v: snr_upper_bound(CFG, 2, v), 1e9, inf_ok=True),
+    FloatParam("time_support_check", "radius", "radius", lambda v: time_support_check(0, v, CFG), 0.1),
+    FloatParam("power_balance_check", "omega", "omega", lambda v: power_balance_check(SMALL_PLAN, CFG, v), OMEGA),
+    FloatParam("empirical_order_snr", "f_edge", "f_edge", lambda v: empirical_order_snr(SMALL_PLAN, CFG, 2, v), 1e9),
+]
+FLOAT_IDS = [f"{p.owner}.{p.param}" for p in FLOAT_PARAMS]
+
+NON_REALS = (True, np.True_, None, "0.1", 1j)
+NON_FINITE = (math.nan, math.inf, -math.inf, HUGE, -HUGE)
+FLOAT_EDGES = (0.0, -0.0, 5e-324, 1e308, -1e308)
+
+# records the library builds and returns, not entry points that take input
+FLOAT_RESULT_RECORDS = {("CheckResult", "estimate"), ("CheckResult", "stderr"), ("DofReport", "t_eff"),
+                        ("DofReport", "total"), ("SnrEstimate", "f_edge"), ("SnrEstimate", "snr_hat"),
+                        ("SnrEstimate", "stderr")}
+
+
+def _defined(result, inf_ok: bool) -> bool:
+    """No NaN anywhere in a result, and no infinity unless ``inf_ok``."""
+    if dataclasses.is_dataclass(result):
+        return all(_defined(getattr(result, f.name), inf_ok) for f in dataclasses.fields(result))
+    if isinstance(result, tuple):
+        return all(_defined(item, inf_ok) for item in result)
+    if isinstance(result, np.ndarray):
+        return all(_defined(item, inf_ok) for item in result.ravel().tolist())
+    if isinstance(result, numbers.Number):
+        return not cmath.isnan(result) and (inf_ok or not cmath.isinf(result))
+    return True
+
+
+@pytest.mark.parametrize("p", FLOAT_PARAMS, ids=FLOAT_IDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_real_contract(p, data):
+    values = NON_REALS + NON_FINITE + FLOAT_EDGES + (np.float32(p.accepted), np.float64(p.accepted))
+    value = data.draw(st.sampled_from(values), label="value")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if any(value is v for v in NON_REALS):
+            with pytest.raises(ValueError, match=rf"^{p.label} must be a real number, got {re.escape(repr(value))}$"):
+                p.call(value)
+        elif any(value is v for v in NON_FINITE):
+            with pytest.raises(ValueError, match=rf"^{p.label} must be finite, got {re.escape(str(value))}$"):
+                p.call(value)
+        else:
+            try:
+                result = p.call(value)
+            except ValueError as exc:
+                assert re.search(rf"\b{p.label}\b", str(exc)), str(exc)
+            else:
+                assert _defined(result, p.inf_ok), result
+
+
+def test_every_float_parameter_is_in_the_table():
+    # a new entry point with a real parameter has to join the table above
+    found = set()
+    for name in dir(wavedof):
+        obj = getattr(wavedof, name)
+        if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            # a NamedTuple field's annotation is a ForwardRef
+            annotation = getattr(param.annotation, "__forward_arg__", param.annotation)
+            if annotation in (float, "float"):
+                found.add((name, param.name))
+            elif annotation == "tuple[float, float]":
+                found |= {(name, f"{param.name}[0]"), (name, f"{param.name}[1]")}
+    assert found - FLOAT_RESULT_RECORDS == {(p.owner, p.param) for p in FLOAT_PARAMS}
+    assert FLOAT_RESULT_RECORDS <= found
+
+
+# kR = omega in units where R = c = 1; the modal reference reaches order 10^4 at kR = 2 * 9988 / e
+UNIT_CFG = ChannelConfig(**{**CONFIG_KW, "radius": 1.0, "wave_speed": 1.0})
+MAX_KR = 7348.759716840732
+
+
+@pytest.mark.parametrize(
+    "cfg, omega",
+    [(CFG, 1e308), (UNIT_CFG, math.nextafter(MAX_KR, math.inf)),
+     # kR overflows to inf
+     (ChannelConfig(**{**CONFIG_KW, "radius": 1e300, "wave_speed": 1e-300}), 1e10)],
+    ids=["1e308", "past-the-bound", "kR-inf"],
+)
+def test_power_balance_omega_past_the_modal_reference_named(cfg, omega):
+    with pytest.raises(ValueError, match=r"^omega must keep kR = omega \* radius / wave_speed <= 7348\.76, "):
+        power_balance_check(SMALL_PLAN, cfg, omega)
+
+
+def test_power_balance_omega_at_the_modal_bound_accepted():
+    assert math.ceil(math.e * MAX_KR / 2.0) + 12 == 10_000
+    assert math.isfinite(power_balance_check(SMALL_PLAN, UNIT_CFG, MAX_KR).reference)
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, 1j, np.array(0.1)],

@@ -430,6 +430,20 @@ class TestBesselDomain:
         for form in forms:
             assert outcome(form) == want, form
 
+    @pytest.mark.parametrize("z", ["1", True, np.True_, None, 1j, [True, False], ["1", "2"], [1.0, None], np.array([1j])])
+    def test_non_number_argument_rejected(self, z):
+        # the float cast would read a bool as 0 or 1, a string as its number and None as NaN
+        with pytest.raises(ValueError, match=r"^argument must be a real number, got "):
+            bessel_j_table(2, z)
+        with pytest.raises(ValueError, match=r"^argument must be a real number, got "):
+            bessel_j_table(2, np.full(_THRESHOLD, z, dtype=object) if np.ndim(z) == 0 else z)
+
+    def test_non_number_scalar_named_as_given(self):
+        with pytest.raises(ValueError, match=r"^argument must be a real number, got '1'$"):
+            bessel_j_table(2, "1")
+        with pytest.raises(ValueError, match=r"^argument must be a real number, got True$"):
+            bessel_j(2, True)
+
     def test_integer_types_accepted(self):
         want = bessel_j_table(3, 1.5)
         assert bessel_j_table(np.int64(3), 1.5).tobytes() == want.tobytes()
@@ -514,6 +528,12 @@ class TestChebyshev:
             for n in (0, 1, 2, 5, 9, 40, 1000):
                 scalar = np.array([kind(n, float(x)) for x in grid])
                 assert kind(n, grid).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("z", [True, np.True_, "0.5", None, 0.5j, [0.5, None], [True, False]])
+    @pytest.mark.parametrize("kind", [chebyshev_first_kind, chebyshev_second_kind])
+    def test_non_number_argument_rejected(self, kind, z):
+        with pytest.raises(ValueError, match=r"^Chebyshev argument must be a real number, got "):
+            kind(2, z)
 
     @pytest.mark.parametrize("kind", [chebyshev_first_kind, chebyshev_second_kind])
     def test_non_integer_degree_rejected(self, kind):

@@ -462,7 +462,7 @@ class TestPowerBalance:
 
     def test_nonfinite_or_negative_argument_rejected(self):
         for omega in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="omega and radius"):
+            with pytest.raises(ValueError, match=r"^omega must be (>= 0|finite), got "):
                 power_balance_check(plan(), wide_cfg(), omega)
 
     def test_deterministic(self):
@@ -483,7 +483,7 @@ class TestPowerBalance:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("noise_var", [0.0, 0.7])
     def test_pool_map_gives_the_whole_per_trial_bits(self, workers, noise_var):
-        # 9 chunks, the last one partial, in tasks of _PB_TASK_CHUNKS chunks
+        # 9 chunks, the last one partial, one pool task each
         cfg = wide_cfg(noise_var=noise_var, p_max=3.0)
         p = plan(num_trials=8 * PB_CHUNK + 17)
         omega = 2 * math.pi * cfg.f0
@@ -498,7 +498,7 @@ class TestPowerBalance:
                 return out
 
             result = run(recording)
-            return result, np.concatenate([c for chunks in tasks for c in chunks])
+            return result, np.concatenate(tasks)
 
         want, want_rows = per_trial(lambda m: power_balance_check(p, cfg, omega, m), map)
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -511,7 +511,7 @@ class TestPowerBalance:
 
     @pytest.mark.parametrize("omega", [10**400, -(10**400)])
     def test_integer_omega_past_the_float_range_rejected(self, omega):
-        with pytest.raises(ValueError, match="omega and radius must be finite and nonnegative, got omega="):
+        with pytest.raises(ValueError, match=rf"^omega must be finite, got {omega}$"):
             power_balance_check(plan(), wide_cfg(), omega)
 
 
@@ -574,7 +574,7 @@ class TestTimeSupport:
 
     @pytest.mark.parametrize("radius", [10**400, -(10**400)])
     def test_integer_radius_past_the_float_range_rejected(self, radius):
-        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        with pytest.raises(ValueError, match=rf"^radius must be finite, got {radius}$"):
             time_support_check(0, radius, wide_cfg())
 
     @pytest.mark.parametrize("n", [0.5, 2.0, math.nan])
@@ -604,7 +604,7 @@ class TestTimeSupport:
 
 
 class TestBlockedStages:
-    """The chunk and task sizes leave every byte, and the stages' working sets are bounded."""
+    """The block sizes leave every byte, and the stages' working sets are bounded."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_campaign_bytes_at_whole_array_and_scalar_limits(self, monkeypatch, seed):
@@ -614,10 +614,9 @@ class TestBlockedStages:
         monkeypatch.setattr(verify, "_BLOCK_CELLS", sys.maxsize)
         monkeypatch.setattr(specfun, "_ARRAY_MIN_ARGS", sys.maxsize)
         assert json.dumps(run_campaign(cfg, p).to_dict()) == shipped
-        # one trial per block and one chunk per pool task, the finest split
+        # one trial per block, and so per pool task, the finest split
         monkeypatch.undo()
         monkeypatch.setattr(verify, "_BLOCK_CELLS", 1)
-        monkeypatch.setattr(verify, "_PB_TASK_CHUNKS", 1)
         assert json.dumps(run_campaign(cfg, p).to_dict()) == shipped
 
     @pytest.mark.parametrize("stage", ["time_support", "power_balance", "snr", "noise"])
@@ -677,7 +676,8 @@ class TestBlockedStagesOverRandomPlans:
     @given(
         p=small_plans(),
         noise_var=st.sampled_from([0.0, 0.7]),
-        p_max=st.floats(0.0, 10.0),
+        # 0 or inside the campaign's power span, which excludes the subnormals
+        p_max=st.just(0.0) | st.floats(1e-100, 10.0),
         radius=st.floats(0.01, 1.0),
     )
     def test_power_balance(self, p, noise_var, p_max, radius):
@@ -945,6 +945,22 @@ class TestCampaign:
                 stack.enter_context(mock.patch.object(verify, stage, side_effect=AssertionError(f"{stage} ran")))
             with pytest.raises(ValueError, match=rf"^{name} must be 0 or within \[1e-100, 1e\+100\] for a verification campaign"):
                 run_campaign(wide_cfg(**kw), SMALL_PLAN)
+
+    @pytest.mark.parametrize("value", [1e308, 1e-300])
+    @pytest.mark.parametrize("name", ["p_max", "noise_var"])
+    @pytest.mark.parametrize(
+        "stage",
+        [lambda cfg: noise_variance_check(SMALL_PLAN, cfg),
+         lambda cfg: power_balance_check(SMALL_PLAN, cfg, 2 * math.pi * cfg.f0),
+         lambda cfg: empirical_order_snr(SMALL_PLAN, cfg, 2, cfg.band_high)],
+        ids=["noise_variance_check", "power_balance_check", "empirical_order_snr"],
+    )
+    def test_powers_outside_the_span_rejected_by_each_stage(self, stage, name, value):
+        # called alone, a stage holds the campaign's span: no overflow, no zero standard error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=rf"^{name} must be 0 or within \[1e-100, 1e\+100\] for a verification campaign"):
+                stage(wide_cfg(**{name: value}))
 
     @pytest.mark.parametrize("p_max, noise_var", [(1e100, 1e97), (1e-97, 1e-100)])
     def test_powers_at_the_span_edges(self, p_max, noise_var):
