@@ -41,6 +41,13 @@ SPEED_OF_LIGHT = 2.998e8
 # cells is 256 MB per array, 32x the default verification plan.
 _MAX_CELLS = 2**24
 
+
+def _check_cells(what: str, rows: int, cols: int, limit: int = _MAX_CELLS) -> None:
+    """Reject an array of rows * cols cells past ``limit``; ``what`` names the product."""
+    if rows * cols > limit:
+        raise ValueError(f"{what} must be <= {limit} cells, got {rows} * {cols} = {rows * cols}")
+
+
 _I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 
@@ -215,11 +222,7 @@ def make_scatterers(cfg: ChannelConfig, num_scatterers: int, num_freqs: int, see
     """
     num_scatterers = _int_arg(num_scatterers, "num_scatterers", lo=1)
     num_freqs = _int_arg(num_freqs, "num_freqs", lo=2)
-    if num_scatterers * num_freqs > _MAX_CELLS:
-        raise ValueError(
-            f"num_scatterers * num_freqs must be <= {_MAX_CELLS} cells, "
-            f"got {num_scatterers} * {num_freqs} = {num_scatterers * num_freqs}"
-        )
+    _check_cells("num_scatterers * num_freqs", num_scatterers, num_freqs)
     rng = np.random.default_rng(_int_arg(seed, "seed", lo=0))
     angles = rng.uniform(0.0, 2.0 * math.pi, num_scatterers)
     gains = _complex_normal(rng, _gain_scale(cfg, num_scatterers), (num_scatterers, num_freqs))
@@ -318,7 +321,8 @@ def synth_field_planewave(s: ScattererSet, cfg: ChannelConfig, x: tuple[float, f
     """
     r, phi = _check_position(cfg, x, omega)
     idx = _on_grid(s, omega)
-    return complex(_planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * r, phi))
+    # in float64 whatever real types r and omega came as
+    return complex(_planewave_sum(s.angles, s.gains[:, idx], float(omega) / cfg.wave_speed * float(r), phi))
 
 
 def modal_coefficients(s: ScattererSet, n_max: int) -> ModalSpectrum:
@@ -346,7 +350,8 @@ def synth_field_modal(ms: ModalSpectrum, cfg: ChannelConfig, x: tuple[float, flo
         # n * phi overflows for a huge phi; the remainder is exact, and |phi| <= 2 pi keeps its bits
         phi = math.remainder(phi, 2.0 * math.pi)
     weighted = _on_grid(ms, omega, ms._weighted_column)
-    z = omega * r / cfg.wave_speed
+    # in float64 whatever real types r and omega came as
+    z = float(omega) * float(r) / cfg.wave_speed
     # at z = 0 only order 0 contributes, so any stored range suffices
     needed = 0 if z == 0.0 else _modal_order(z)
     if ms.n_max < needed:
@@ -399,11 +404,7 @@ def synth_field_circle(
     """
     num_nodes = _int_arg(num_nodes, "num_nodes", lo=1)
     # the plane-wave sum makes one (nodes, scatterers) array
-    if num_nodes * s.num_scatterers > _MAX_CELLS:
-        raise ValueError(
-            f"num_nodes * num_scatterers must be <= {_MAX_CELLS} cells, "
-            f"got {num_nodes} * {s.num_scatterers} = {num_nodes * s.num_scatterers}"
-        )
+    _check_cells("num_nodes * num_scatterers", num_nodes, s.num_scatterers)
     nodes = _circle_nodes(num_nodes)
     idx = _on_grid(s, omega)
     values = _planewave_sum(s.angles, s.gains[:, idx], omega / cfg.wave_speed * cfg.radius, nodes[:, None])

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _check_cells
 from .dofcore import DofReport, total_dof
 from .specfun import _real_arg, bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
 from .verify import TrialPlan, run_campaign
@@ -269,11 +269,7 @@ def cmd_tables(args, file_vals: dict) -> int:
     if args.samples < 2:
         raise CliError(f"samples must be >= 2, got {args.samples}")
     columns = max(orders) + 1 if args.kind == "bessel" else 2 * len(set(orders))
-    if args.samples * columns > _MAX_TABLE_CELLS:
-        raise CliError(
-            f"samples * columns must be <= {_MAX_TABLE_CELLS} cells, "
-            f"got {args.samples} * {columns} = {args.samples * columns}"
-        )
+    _check_cells("samples * columns", args.samples, columns, _MAX_TABLE_CELLS)
     if args.kind == "bessel":
         _real_arg(args.z_max, "z-max", 0.0, open_lo=True)
     manifest = _manifest(args, "tables")

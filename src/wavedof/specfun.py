@@ -120,6 +120,11 @@ def _real_array(z, name: str) -> np.ndarray:
     arr = np.asarray(z)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a real number, got {(arr.item() if arr.ndim == 0 else arr)!r}")
+    if arr.ndim and not isinstance(z, np.ndarray):
+        # numpy promotes a sequence that mixes bools with numbers to a number array
+        for item in np.asarray(z, dtype=object).flat:
+            if isinstance(item, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a real number, got {item!r}")
     return arr.astype(float, copy=False)
 
 

@@ -23,6 +23,7 @@ from . import __version__
 from .channel import (
     _MAX_CELLS,
     ChannelConfig,
+    _check_cells,
     _circle_nodes,
     _complex_normal,
     _gain_scale,
@@ -80,13 +81,11 @@ class TrialPlan:
                 f"circle_samples={self.circle_samples} aliases orders up to "
                 f"{self.n_probe}; need at least {2 * self.n_probe + 2}"
             )
-        rows = max(self.num_trials, 2 * self.n_probe + 1)
-        cols = max(self.circle_samples, self.freq_samples)
-        if rows * cols > _MAX_CELLS:
-            raise ValueError(
-                f"max(num_trials, 2*n_probe+1) * max(circle_samples, freq_samples) must be "
-                f"<= {_MAX_CELLS} cells, got {rows} * {cols} = {rows * cols}"
-            )
+        _check_cells(
+            "max(num_trials, 2*n_probe+1) * max(circle_samples, freq_samples)",
+            max(self.num_trials, 2 * self.n_probe + 1),
+            max(self.circle_samples, self.freq_samples),
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -115,6 +114,11 @@ class CheckResult:
         return dataclasses.asdict(self)
 
 
+def _line(name: str, estimate: float, stderr: float, ok: bool, detail: str = "") -> CheckResult:
+    """A judged verification line: the one place a verdict is passed or failed."""
+    return CheckResult(name, estimate, stderr, "pass" if ok else "fail", detail)
+
+
 def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     """Residual of the circle-harmonic inner product under quadrature.
 
@@ -130,6 +134,11 @@ def orthogonality_check(n: int, m: int, num_samples: int) -> float:
     quad = (2.0 * math.pi / num_samples) * np.sum(np.exp(1j * (n - m) * _circle_nodes(num_samples)))
     expected = 2.0 * math.pi if n == m else 0.0
     return float(abs(quad - expected))
+
+
+def _orthogonality_lines(plan: TrialPlan) -> list[CheckResult]:
+    resid = max(orthogonality_check(3, 3, plan.circle_samples), orthogonality_check(2, 5, plan.circle_samples))
+    return [_line("orthogonality", resid, 0.0, resid < 1e-12, "worst residual below the alias bound")]
 
 
 # Cells (float or complex) in one block of a stage that streams its
@@ -241,12 +250,8 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
     _check_powers(cfg)
     orders = symmetric_orders(plan.n_probe)
     target = 2.0 * math.pi * cfg.noise_var
-    results = []
-
     if cfg.noise_var == 0.0:
-        for n in orders:
-            results.append(CheckResult(f"noise_var[n={n}]", 0.0, 0.0, "pass", "silent channel"))
-        return results
+        return [_line(f"noise_var[n={n}]", 0.0, 0.0, True, "silent channel") for n in orders]
 
     rng = np.random.default_rng(plan.seed)
     m = plan.circle_samples
@@ -257,48 +262,36 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
     sq = np.abs(nu) ** 2
     var_est = sq.mean(axis=0)
     var_se = sq.std(axis=0) / math.sqrt(plan.num_trials)
-    for i, n in enumerate(orders):
-        ok = abs(var_est[i] - target) <= 3.0 * var_se[i]
-        results.append(
-            CheckResult(
-                f"noise_var[n={n}]", float(var_est[i]), float(var_se[i]),
-                "pass" if ok else "fail", f"target {target:.6g}",
-            )
-        )
+    results = [
+        _line(f"noise_var[n={n}]", float(est), float(se), abs(est - target) <= 3.0 * se, f"target {target:.6g}")
+        for n, est, se in zip(orders, var_est, var_se)
+    ]
 
     mean_vec = nu.mean(axis=0)
     comp_se = np.sqrt(nu.real.var(axis=0) + nu.imag.var(axis=0)) / math.sqrt(plan.num_trials)
     worst = int(np.argmax(np.abs(mean_vec) / comp_se))
     # max over 2(2n_probe+1) Gaussian components; 4.5 sigma keeps the
     # joint false-alarm rate negligible
-    ok = bool(np.all(np.abs(mean_vec) <= 4.5 * comp_se))
+    ok = np.all(np.abs(mean_vec) <= 4.5 * comp_se)
     results.append(
-        CheckResult(
-            "noise_mean_worst", float(abs(mean_vec[worst])), float(comp_se[worst]),
-            "pass" if ok else "fail", f"worst order {orders[worst]}, joint 4.5 sigma screen",
-        )
+        _line("noise_mean_worst", float(abs(mean_vec[worst])), float(comp_se[worst]), ok,
+              f"worst order {orders[worst]}, joint 4.5 sigma screen")
     )
 
     if plan.n_probe >= 2:
         prod = nu[:, plan.n_probe + 1] * np.conj(nu[:, plan.n_probe + 2])
         cross = complex(prod.mean())
         cross_se = math.sqrt(prod.real.var() + prod.imag.var()) / math.sqrt(plan.num_trials)
-        ok = abs(cross) <= 3.0 * cross_se
-        results.append(
-            CheckResult("noise_cross[1,2]", abs(cross), cross_se, "pass" if ok else "fail")
-        )
+        results.append(_line("noise_cross[1,2]", abs(cross), cross_se, abs(cross) <= 3.0 * cross_se))
         # joint screen over every ordered pair, threshold adjusted for count
         # einsum, not a BLAS product, so the bytes do not depend on the thread count
         cov = np.einsum("ti,tj->ij", nu.conj(), nu) / plan.num_trials
         pair_se = np.sqrt(np.outer(var_est, var_est) / plan.num_trials)
         off = ~np.eye(orders.size, dtype=bool)
-        ratio = np.abs(cov)[off] / pair_se[off]
-        ok = bool(np.max(ratio) <= 4.5)
+        worst_ratio = float(np.max(np.abs(cov)[off] / pair_se[off]))
         results.append(
-            CheckResult(
-                "noise_cross_worst", float(np.max(ratio)), 1.0,
-                "pass" if ok else "fail", "max |cov|/se over order pairs, 4.5 sigma screen",
-            )
+            _line("noise_cross_worst", worst_ratio, 1.0, worst_ratio <= 4.5,
+                  "max |cov|/se over order pairs, 4.5 sigma screen")
         )
     return results
 
@@ -378,6 +371,15 @@ def power_balance_check(plan: TrialPlan, cfg: ChannelConfig, omega: float, map=m
     )
 
 
+def _power_balance_lines(plan: TrialPlan, cfg: ChannelConfig, map) -> list[CheckResult]:
+    pb = power_balance_check(plan, cfg, 2.0 * math.pi * cfg.f0, map)
+    return [
+        _line("power_balance", pb.residual, pb.stderr, pb.residual <= max(3.0 * pb.stderr, 1e-12),
+              "circle power vs modal sum at f0"),
+        _line("power_balance_exact", pb.tail, 0.0, pb.tail < 1e-6, "truncation tail of the modal sum"),
+    ]
+
+
 # Resolution of the windowed inverse transform, in units where R/c = 1:
 # frequency as kR, time as ct/R.  The band runs to kR = 200 and the time
 # axis to pad; delta is the support margin of the leakage window.  The
@@ -396,9 +398,9 @@ _TS_DELTA = 0.05
 # where the kernel is cut off mid-rise by the band edge.
 _TS_MAX_ORDER = int(0.9 * _TS_KR_MAX)
 
-# FFT length of the chirp-z transform: the convolution of the frequency
-# samples with the chirp spans freq + time - 1 = 4095 lags.
-_TS_FFT_SIZE = 4096
+# FFT length of the chirp-z transform: the power of two that holds the
+# freq + time - 1 lags of the frequency samples' convolution with the chirp.
+_TS_FFT_SIZE = 1 << (_TS_FREQ_SAMPLES + _TS_TIME_SAMPLES - 2).bit_length()
 
 
 class TimeSupportResult(NamedTuple):
@@ -472,6 +474,15 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
     return TimeSupportResult(leakage=leakage, edge_time=edge_time, times=tau * t_unit, energy=energy)
 
 
+def _time_support_lines(cfg: ChannelConfig) -> list[CheckResult]:
+    if not cfg.radius > 0.0:
+        return [CheckResult("time_support_leakage", 0.0, 0.0, "skipped", "point observation region")]
+    ts = time_support_check(0, cfg.radius, cfg)
+    rc = cfg.radius / cfg.wave_speed
+    ok = ts.leakage < 0.01 and abs(ts.edge_time - rc) <= 0.05 * rc
+    return [_line("time_support_leakage", ts.leakage, 0.0, ok, f"edge at {ts.edge_time:.4g} s vs R/c = {rc:.4g} s")]
+
+
 class _SnrProbe(NamedTuple):
     """One SNR estimate of the detectability audit and the side of gamma it must fall on."""
 
@@ -514,8 +525,30 @@ def _snr_probes(cfg: ChannelConfig, plan: TrialPlan) -> list[_SnrProbe]:
 def _judge(probe: _SnrProbe, est: SnrEstimate, gamma: float) -> CheckResult:
     high = est.snr_hat + 3.0 * est.stderr
     # both comparisons are written out so that a NaN estimate fails either side
-    ok = high < gamma if probe.below else high >= gamma
-    return CheckResult(probe.name, est.snr_hat, est.stderr, "pass" if ok else "fail", probe.detail)
+    return _line(probe.name, est.snr_hat, est.stderr, high < gamma if probe.below else high >= gamma, probe.detail)
+
+
+def _snr_lines(cfg: ChannelConfig, plan: TrialPlan, submit):
+    """Submit the detectability audit's probes with ``submit``; return the reader of its lines.
+
+    A ValueError in placing or in estimating a probe makes the audit one
+    skipped ``dof_prediction`` line; any other error raises from the reader.
+    """
+    try:
+        probes, error = _snr_probes(cfg, plan), None
+    except ValueError as exc:
+        probes, error = [], exc
+    estimates = [submit(empirical_order_snr, p.plan, cfg, p.n, p.f_edge) for p in probes]
+
+    def read() -> list[CheckResult]:
+        try:
+            if error is not None:
+                raise error
+            return [_judge(p, est.result(), cfg.gamma) for p, est in zip(probes, estimates)]
+        except ValueError as exc:
+            return [CheckResult("dof_prediction", 0.0, 0.0, "skipped", str(exc))]
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -556,7 +589,7 @@ def _usable_cpus() -> int:
 
 
 def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
-    """Full verification pass: quadrature, noise, power, SNR, time support.
+    """Full verification pass: quadrature, noise, power, time support, SNR.
 
     Nonzero p_max and noise_var must lie in [1e-100, 1e100], where the
     squared powers stay inside the float range; other powers are rejected
@@ -566,87 +599,30 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     seed their own generator and spend their time in numpy loops that
     release the GIL, so they run at once on a pool of one thread per
     usable CPU; the power balance, the largest stage, is split into
-    several tasks of its trials.  Results are read back in check order,
-    so the report, and whichever exception a stage raises, do not depend
-    on the number of workers.
+    several tasks of its trials.  Each stage's lines are read back in
+    check order, so the report, and the error of the first stage in that
+    order to raise, do not depend on the number of workers.
     """
     # imported here, not with the module: analyze, sweep and tables start no
     # pool, and the executor's imports (logging, queue) cost them about 7 ms
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     _check_powers(cfg)
-    try:
-        probes, probe_error = _snr_probes(cfg, plan), None
-    except ValueError as exc:
-        probes, probe_error = [], exc
-    omega_mid = 2.0 * math.pi * cfg.f0
     pool = ThreadPoolExecutor(max_workers=_usable_cpus())
     try:
         noise = pool.submit(noise_variance_check, plan, cfg)
-        support = pool.submit(time_support_check, 0, cfg.radius, cfg) if cfg.radius > 0.0 else None
-        estimates = [pool.submit(empirical_order_snr, p.plan, cfg, p.n, p.f_edge) for p in probes]
+        support = pool.submit(_time_support_lines, cfg)
+        snr = _snr_lines(cfg, plan, pool.submit)
         # The power balance draws here and queues its trial tasks behind the
         # other stages, then this thread waits for them.  A pool task must
         # not wait on the pool: on one worker it would wait forever.
+        balance = Future()
         try:
-            pb, balance_error = power_balance_check(plan, cfg, omega_mid, pool.map), None
+            balance.set_result(_power_balance_lines(plan, cfg, pool.map))
         except Exception as exc:
-            pb, balance_error = None, exc
-        noise_rows = noise.result()
-        if balance_error is not None:
-            raise balance_error
-        ts = None if support is None else support.result()
-        try:
-            if probe_error is not None:
-                raise probe_error
-            snr_rows = [_judge(p, est.result(), cfg.gamma) for p, est in zip(probes, estimates)]
-        except ValueError as exc:
-            snr_rows = [CheckResult("dof_prediction", 0.0, 0.0, "skipped", str(exc))]
+            balance.set_exception(exc)
+        checks = (*_orthogonality_lines(plan), *noise.result(), *balance.result(), *support.result(), *snr())
     finally:
         # after a stage raised, the stages not yet started need not run
         pool.shutdown(cancel_futures=True)
-
-    checks: list[CheckResult] = []
-
-    resid = max(orthogonality_check(3, 3, plan.circle_samples),
-                orthogonality_check(2, 5, plan.circle_samples))
-    checks.append(
-        CheckResult(
-            "orthogonality", resid, 0.0,
-            "pass" if resid < 1e-12 else "fail", "worst residual below the alias bound",
-        )
-    )
-
-    checks.extend(noise_rows)
-
-    tol = max(3.0 * pb.stderr, 1e-12)
-    checks.append(
-        CheckResult(
-            "power_balance", pb.residual, pb.stderr,
-            "pass" if pb.residual <= tol else "fail", "circle power vs modal sum at f0",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "power_balance_exact", pb.tail, 0.0,
-            "pass" if pb.tail < 1e-6 else "fail", "truncation tail of the modal sum",
-        )
-    )
-
-    if ts is not None:
-        edge_ok = abs(ts.edge_time - cfg.radius / cfg.wave_speed) <= 0.05 * cfg.radius / cfg.wave_speed
-        checks.append(
-            CheckResult(
-                "time_support_leakage", ts.leakage, 0.0,
-                "pass" if (ts.leakage < 0.01 and edge_ok) else "fail",
-                f"edge at {ts.edge_time:.4g} s vs R/c = {cfg.radius / cfg.wave_speed:.4g} s",
-            )
-        )
-    else:
-        checks.append(
-            CheckResult("time_support_leakage", 0.0, 0.0, "skipped", "point observation region")
-        )
-
-    checks.extend(snr_rows)
-
-    return CampaignReport(config=cfg, plan=plan, checks=tuple(checks))
+    return CampaignReport(config=cfg, plan=plan, checks=checks)

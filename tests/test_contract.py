@@ -9,6 +9,8 @@ takes a finite real number under one rule: booleans, strings, None,
 complex numbers, NaN, infinities and integers past the float range raise
 a ValueError that names the parameter, and no call returns a NaN or an
 undocumented infinity.  A second table lists those, under its own guard.
+A float32 position synthesizes the field of its value in float64, and an
+argument sequence that mixes booleans with numbers is rejected.
 """
 
 import cmath
@@ -332,3 +334,22 @@ def test_config_real_types_kept_as_given(kind):
     cfg = ChannelConfig(**{**CONFIG_KW, "radius": kind(2), "obs_time": kind(0)})
     assert type(cfg.radius) is kind and cfg.radius == 2
     assert cfg.k_max * cfg.radius == ChannelConfig(**{**CONFIG_KW, "radius": 2.0}).k_max * 2.0
+
+
+@pytest.mark.parametrize("route, holder", [(synth_field_planewave, SCATTERERS), (synth_field_modal, MODAL)],
+                         ids=["synth_field_planewave", "synth_field_modal"])
+def test_float32_position_synthesized_in_float64(route, holder):
+    # a float32 r or phi is the value it holds: the field has the bits of the same value as a float
+    r, phi = np.float32(0.05), np.float32(0.3)
+    assert route(holder, CFG, (r, phi), OMEGA) == route(holder, CFG, (float(r), float(phi)), OMEGA)
+    assert route(holder, CFG, (r, 0.3), OMEGA) == route(holder, CFG, (float(r), 0.3), OMEGA)
+
+
+@pytest.mark.parametrize("call", [lambda z: bessel_j_table(1, z), lambda z: chebyshev_first_kind(2, z)],
+                         ids=["bessel_j_table", "chebyshev_first_kind"])
+@pytest.mark.parametrize("z, bad", [([0.5, True], True), ((0.25, np.False_), np.False_), ([[0.5, 1.0], [1, True]], True)],
+                         ids=["list", "tuple", "nested"])
+def test_bool_in_a_number_sequence_rejected(call, z, bad):
+    # numpy would read the bool as 1 or 0 in a sequence it promotes to floats
+    with pytest.raises(ValueError, match=rf"argument must be a real number, got {re.escape(repr(bad))}$"):
+        call(z)

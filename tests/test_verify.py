@@ -2,7 +2,9 @@
 calibration, noise statistics, power balance, time support, and the
 end-to-end detectability audit."""
 
+import ast
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -768,6 +770,10 @@ def assert_worker_count_invisible(cfg, p):
     return json.loads(want)
 
 
+# the campaign stages that can raise, in check order; the last is every SNR probe
+FAILING_STAGES = ("noise_variance_check", "power_balance_check", "time_support_check", "empirical_order_snr")
+
+
 class TestCampaignWorkers:
     """Stages run on a thread pool; the worker count changes no byte."""
 
@@ -827,6 +833,34 @@ class TestCampaignWorkers:
         with pytest.raises(ValueError) as info:
             run_campaign(wide_cfg(), plan(num_trials=300))
         assert info.value is errors[first]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("pair", list(itertools.permutations(FAILING_STAGES, 2)), ids="-then-".join)
+    def test_error_precedence_over_stage_pairs(self, monkeypatch, pair, cpus):
+        # both stages of the pair raise, the second only after the first
+        # where two workers let it wait; one worker runs its tasks in
+        # submission order.  The error of the earlier stage in check order
+        # is raised either way, and no thread is left behind.
+        errors = {stage: RuntimeError(f"{stage} broke") for stage in pair}
+        first_raised = threading.Event()
+
+        def broken(stage):
+            def fail(*args):
+                if stage == pair[0]:
+                    first_raised.set()
+                elif cpus > 1:
+                    assert first_raised.wait(timeout=60)
+                raise errors[stage]
+            return fail
+
+        for stage in pair:
+            monkeypatch.setattr(verify, stage, broken(stage))
+        baseline = threading.active_count()
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            with pytest.raises(RuntimeError) as info:
+                run_campaign(wide_cfg(), SMALL_PLAN)
+        assert info.value is errors[min(pair, key=FAILING_STAGES.index)]
+        assert threading.active_count() == baseline
 
     def test_power_balance_runs_its_tasks_from_the_calling_thread(self, monkeypatch):
         # a pool task that waited on the pool's own tasks would hang a
@@ -975,3 +1009,30 @@ class TestCampaign:
     def test_plan_floor_enforced(self):
         with pytest.raises(ValueError, match="statistical"):
             run_campaign(wide_cfg(), TrialPlan(num_trials=1))
+
+
+def test_every_verdict_is_decided_by_the_line_helper():
+    # a CheckResult built outside verify._line takes the literal verdict "skipped"
+    judged, helpers = [], 0
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_line":
+                helpers += 1
+                inside |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if not isinstance(node, ast.Call) or getattr(func, "id", getattr(func, "attr", None)) != "CheckResult":
+                continue
+            args = {**dict(enumerate(node.args)), **{kw.arg: kw.value for kw in node.keywords}}
+            verdict = args.get(3, args.get("verdict"))
+            skipped = isinstance(verdict, ast.Constant) and verdict.value == "skipped"
+            judged.append((path.name, node.lineno, id(node) in inside, skipped))
+        assert text.count('"pass" if') == (1 if path.name == "verify.py" else 0), path.name
+    assert helpers == 1
+    assert [(name, inside) for name, _, inside, _ in judged if inside] == [("verify.py", True)]
+    assert [(name, line) for name, line, inside, skipped in judged if not (inside or skipped)] == []
+    # the skipped lines: a point region's time support and the skipped audit
+    assert sum(skipped for *_, skipped in judged) == 2
