@@ -55,8 +55,8 @@ _I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 class ChannelConfig:
     """Physical scenario: band, geometry, observation time, noise and threshold.
 
-    Every field is a finite real number, kept as given (see
-    ``specfun._real_arg``), with f0 > half_bw > 0 and wave_speed, gamma > 0.
+    Every field is a finite real number (see ``specfun._real_arg``), stored
+    as a Python float, with f0 > half_bw > 0 and wave_speed, gamma > 0.
     The rest admit 0 as degenerate limits (point observation region, no
     observation time, noiseless sensing, silent channel); the operations
     that would divide by them reject the degenerate value instead.
@@ -74,7 +74,8 @@ class ChannelConfig:
     def __post_init__(self):
         for name, value in self.to_dict().items():
             lo = -_FLOAT_MAX if name in ("f0", "half_bw") else 0.0
-            _real_arg(value, name, lo, open_lo=name in ("wave_speed", "gamma"))
+            # a float, so an np.float32 field puts no budget arithmetic in float32
+            object.__setattr__(self, name, float(_real_arg(value, name, lo, open_lo=name in ("wave_speed", "gamma"))))
         if not self.f0 > self.half_bw > 0.0:
             raise ValueError(f"band must satisfy f0 > half_bw > 0, got f0={self.f0}, half_bw={self.half_bw}")
 

@@ -54,10 +54,6 @@ SWEEP_AXES = ("radius", "half_bw", "gamma", "obs_time")
 _MAX_TABLE_CELLS = 2**22
 
 
-class CliError(Exception):
-    """Invalid input; maps to exit code 2, as a ValueError does."""
-
-
 def load_config_file(path: str) -> dict:
     """Flat key-value config: one ``key = value`` per line, # comments; integer keys as int."""
     known = set(DEFAULT_CONFIG) | set(_INT_KEYS)
@@ -65,24 +61,24 @@ def load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in known:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             out[key] = float(val.strip())
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
+            raise ValueError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
         if key in _INT_KEYS:
             if not out[key].is_integer():
-                raise CliError(f"{path}:{lineno}: {key} must be a whole number, got {val.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: {key} must be a whole number, got {val.strip()!r}")
             out[key] = int(out[key])
     return out
 
@@ -108,7 +104,7 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot create output directory {out}: {exc}") from exc
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -141,14 +137,23 @@ def _artifact(path: Path):
             f.truncate()
 
 
-def _write_artifact(path: Path, text: str) -> None:
-    with _artifact(path) as f:
-        f.write(text)
-
-
 def _json_artifact(manifest: dict, payload: dict) -> str:
     body = {"version": __version__, "manifest": manifest, **payload}
     return json.dumps(body, indent=2, sort_keys=True)
+
+
+def _write_json(path: Path, manifest: dict, payload: dict) -> None:
+    with _artifact(path) as f:
+        f.write(_json_artifact(manifest, payload) + "\n")
+
+
+def _write_csv(path: Path, manifest: dict, resolved: dict, blocks) -> None:
+    """The five ``#`` comment lines (tool, command, seed, resolved inputs, time), then ``blocks`` as given."""
+    resolved_line = " ".join(f"{k}={resolved[k]!r}" for k in sorted(resolved))
+    with _artifact(path) as f:
+        f.write(f"# tool: wavedof {__version__}\n# command: {manifest['command']}\n# seed: {manifest['seed']}\n"
+                f"# config: {resolved_line}\n# generated: {datetime.now(timezone.utc).isoformat()}\n")
+        f.writelines(blocks)
 
 
 # Stands for the rows when the rest of dof_report.json is dumped.  It is
@@ -178,17 +183,6 @@ def _write_report_json(path: Path, manifest: dict, payload: dict, report: DofRep
         f.write(f"\n{ind}]" + tail + "\n")
 
 
-def _csv_comments(manifest: dict, resolved: dict) -> list[str]:
-    resolved_line = " ".join(f"{k}={resolved[k]!r}" for k in sorted(resolved))
-    return [
-        f"# tool: wavedof {__version__}",
-        f"# command: {manifest['command']}",
-        f"# seed: {manifest['seed']}",
-        f"# config: {resolved_line}",
-        f"# generated: {datetime.now(timezone.utc).isoformat()}",
-    ]
-
-
 def cmd_analyze(args, file_vals: dict) -> int:
     cfg = _resolve_config(args, file_vals)
     manifest = _manifest(args, "analyze")
@@ -201,10 +195,7 @@ def cmd_analyze(args, file_vals: dict) -> int:
             "per_order": _ROWS_PLACEHOLDER, "total": report.total}
     _write_report_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body}, report)
     csv_path = out / "dof_report.csv"
-    comments = _csv_comments(manifest, config)
-    with _artifact(csv_path) as f:
-        f.write("\n".join(comments) + "\n")
-        f.writelines(report.csv_blocks())
+    _write_csv(csv_path, manifest, config, report.csv_blocks())
 
     print(
         f"n_upper={report.n_upper} t_eff={report.t_eff:.9g} s total_dof={report.total:.9g}"
@@ -216,7 +207,7 @@ def cmd_analyze(args, file_vals: dict) -> int:
 def cmd_sweep(args, file_vals: dict) -> int:
     values = args.values
     if len(values) < 1 or any(b <= a for a, b in zip(values, values[1:])):
-        raise CliError("sweep values must be strictly increasing")
+        raise ValueError("sweep values must be strictly increasing")
     base = _resolve_config(args, file_vals).to_dict()
     rows = []
     # validate and evaluate every point before any output is written
@@ -226,29 +217,19 @@ def cmd_sweep(args, file_vals: dict) -> int:
         try:
             rep = total_dof(ChannelConfig(**point))
         except ValueError as exc:
-            raise CliError(f"{args.axis}={v!r}: {exc}") from exc
+            raise ValueError(f"{args.axis}={v!r}: {exc}") from exc
         rows.append((v, rep.n_upper, rep.t_eff, rep.total))
 
     manifest = _manifest(args, "sweep")
     out = _out_dir(args)
     if args.format == "csv":
         path = out / f"sweep_{args.axis}.csv"
-        lines = _csv_comments(manifest, base)
-        lines.append(f"{args.axis},n_upper,t_eff_s,total_dof")
-        for v, n_up, t_eff, total in rows:
-            lines.append(f"{v:.9g},{n_up:d},{t_eff:.9g},{total:.9g}")
-        _write_artifact(path, "\n".join(lines) + "\n")
+        lines = [f"{v:.9g},{n_up:d},{t_eff:.9g},{total:.9g}\n" for v, n_up, t_eff, total in rows]
+        _write_csv(path, manifest, base, [f"{args.axis},n_upper,t_eff_s,total_dof\n", *lines])
     else:
         path = out / f"sweep_{args.axis}.json"
-        payload = {
-            "seed": args.seed,
-            "config": base,
-            "axis": args.axis,
-            "rows": [
-              {"value": v, "n_upper": n, "t_eff": t, "total_dof": d} for v, n, t, d in rows
-            ],
-        }
-        _write_artifact(path, _json_artifact(manifest, payload) + "\n")
+        json_rows = [{"value": v, "n_upper": n, "t_eff": t, "total_dof": d} for v, n, t, d in rows]
+        _write_json(path, manifest, {"seed": args.seed, "config": base, "axis": args.axis, "rows": json_rows})
     print(f"wrote {len(rows)} sweep rows to {path}")
     return 0
 
@@ -256,7 +237,7 @@ def cmd_sweep(args, file_vals: dict) -> int:
 def cmd_simulate(args, file_vals: dict) -> int:
     report = run_campaign(_resolve_config(args, file_vals), _resolve_plan(args, file_vals))
     path = _out_dir(args) / "verification.json"
-    _write_artifact(path, _json_artifact(_manifest(args, "simulate"), report.to_dict()) + "\n")
+    _write_json(path, _manifest(args, "simulate"), report.to_dict())
     print(report.summary_table())
     print(f"wrote {path}")
     return 0 if report.passed else 3
@@ -265,9 +246,9 @@ def cmd_simulate(args, file_vals: dict) -> int:
 def cmd_tables(args, file_vals: dict) -> int:
     orders = args.orders
     if not orders or any(n < 0 for n in orders):
-        raise CliError(f"orders must be nonnegative integers, got {orders}")
+        raise ValueError(f"orders must be nonnegative integers, got {orders}")
     if args.samples < 2:
-        raise CliError(f"samples must be >= 2, got {args.samples}")
+        raise ValueError(f"samples must be >= 2, got {args.samples}")
     columns = max(orders) + 1 if args.kind == "bessel" else 2 * len(set(orders))
     _check_cells("samples * columns", args.samples, columns, _MAX_TABLE_CELLS)
     if args.kind == "bessel":
@@ -292,20 +273,12 @@ def cmd_tables(args, file_vals: dict) -> int:
     names = list(cols)
     if args.format == "csv":
         path = out / f"tables_{args.kind}.csv"
-        lines = _csv_comments(manifest, params)
-        lines.append("z," + ",".join(names))
-        for i, z in enumerate(grid):
-            lines.append(f"{z:.9g}," + ",".join(f"{cols[c][i]:.9g}" for c in names))
-        _write_artifact(path, "\n".join(lines) + "\n")
+        lines = [f"{z:.9g}," + ",".join(f"{cols[c][i]:.9g}" for c in names) + "\n" for i, z in enumerate(grid)]
+        _write_csv(path, manifest, params, ["z," + ",".join(names) + "\n", *lines])
     else:
         path = out / f"tables_{args.kind}.json"
-        payload = {
-            "seed": args.seed,
-            "params": params,
-            "z": [float(z) for z in grid],
-            "columns": {c: [float(v) for v in cols[c]] for c in names},
-        }
-        _write_artifact(path, _json_artifact(manifest, payload) + "\n")
+        _write_json(path, manifest, {"seed": args.seed, "params": params, "z": [float(z) for z in grid],
+                                     "columns": {c: [float(v) for v in cols[c]] for c in names}})
     print(f"wrote {path}")
     return 0
 
@@ -364,7 +337,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = file_vals.get("seed", 0)
         return args.func(args, file_vals)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,12 +41,12 @@ _MAX_ORDER = 10_000_000
 # Orders |n| formatted at once when a report is written as text.  One
 # block's text for both signs takes a few MB, so the writers need the
 # columns plus one block however large N_u is: the traced peak of analyze
-# is 4.3 MB at R = 99 m (one block) and 5.0 MB at R = 251 m (three).
+# is 3.5 MB at R = 99 m (one block) and 4.4 MB at R = 251 m (three).
 _ROW_BLOCK = 8192
 # Rows per string handed to a writer.  A writer copies what it gets (the
 # JSON spelling of inf, the encoding) while the innermost block's text is
 # held across the -n and +n sections, so whole-block strings put R = 99 m
-# at 5.9 MB.  1024 rows gave 3.0 MB there, but left the allocator with
+# at 4.9 MB.  1024 rows gave 3.2 MB there, but left the allocator with
 # about 1 MB more resident memory over a run of budget operations.
 _STITCH_ROWS = 4096
 
@@ -225,11 +225,10 @@ def _split_rows(fmt: str, cols: list, k: int) -> list:
     return ((fmt + "\0") * k % tuple(values)).split("\0")[:-1]
 
 
-def _stitch(heads: list, ns: range, tails: list) -> Iterator[str]:
-    """Rows of head text, order and tail text for the orders in ``ns``, _STITCH_ROWS at a time."""
+def _fill(texts: list, ns: range) -> Iterator[str]:
+    """Row texts with the orders in ``ns`` filled in for their ``%d``, _STITCH_ROWS rows to a string."""
     for j in range(0, len(ns), _STITCH_ROWS):
-        k = slice(j, j + _STITCH_ROWS)
-        yield ("%s%d%s" * len(ns[k])) % tuple(chain.from_iterable(zip(heads[k], ns[k], tails[k])))
+        yield "".join(texts[j:j + _STITCH_ROWS]) % tuple(ns[j:j + _STITCH_ROWS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,40 +252,37 @@ class DofReport:
     def format_rows(self, row: str, columns: tuple) -> Iterator[str]:
         """``row`` %-formatted with the named columns once per order, in blocks of orders |n|.
 
-        ``row`` holds one ``%d``, the spec of the ``n`` column.  Each block's
-        text before and after that ``%d`` is formatted once per row and
-        stitched to the orders, _STITCH_ROWS rows to a string.  The -n
-        section takes the blocks outermost first.  The +n section reuses
-        the innermost block's text, which total_dof's columns, even in n
-        bit for bit, make the same for both signs, and formats each outer
+        ``row`` holds one ``%d``, the spec of the ``n`` column, and no other
+        escaped ``%``.  Each block's rows are formatted once with that ``%d``
+        left in, and the orders are filled in _STITCH_ROWS rows to a string.
+        The -n section takes the blocks outermost first.  The +n section
+        reuses the innermost block's text, which total_dof's columns, even in
+        n bit for bit, make the same for both signs, and formats each outer
         block again rather than hold it across the file.  No string is
         empty, and the writers hold the columns plus one block.
         """
-        i = columns.index("n")
-        head, _, tail = row.partition("%d")
-        head_cols = [getattr(self, c) for c in columns[:i]]
-        tail_cols = [getattr(self, c) for c in columns[i + 1:]]
+        fmt = row.replace("%d", "%%d")
+        cols = [getattr(self, c) for c in columns if c != "n"]
         n_up = self.n_upper
 
-        def texts(lo: int, hi: int) -> tuple[list, list]:
-            """Head and tail texts of the rows at column indices lo..hi - 1."""
-            return (_split_rows(head, [c[lo:hi] for c in head_cols], hi - lo),
-                    _split_rows(tail, [c[lo:hi] for c in tail_cols], hi - lo))
+        def texts(lo: int, hi: int) -> list:
+            """The texts of the rows at column indices lo..hi - 1, each with its ``%d``."""
+            return _split_rows(fmt, [c[lo:hi] for c in cols], hi - lo)
 
         edges = [(lo, min(lo + _ROW_BLOCK, n_up)) for lo in range(0, n_up, _ROW_BLOCK)]
         for lo, hi in reversed(edges):
-            heads = tails = None  # drop the last block before formatting the next
-            heads, tails = texts(n_up - hi, n_up - lo)
-            yield from _stitch(heads, range(1 - hi, 1 - lo), tails)
-        # reversed, the innermost block's texts run n = 0, -1, -2, ..., which the
-        # even columns make those of n = 0, 1, 2, ...; row 0 is written already
-        heads.reverse()
-        tails.reverse()
-        yield from _stitch(heads[1:], range(1, edges[0][1]), tails[1:])
+            block = None  # drop the last block before formatting the next
+            block = texts(n_up - hi, n_up - lo)
+            yield from _fill(block, range(1 - hi, 1 - lo))
+        # less row 0, written already, the innermost block's texts reversed run
+        # n = -1, -2, ..., which the even columns make those of n = 1, 2, ...
+        block.pop()
+        block.reverse()
+        yield from _fill(block, range(1, edges[0][1]))
         for lo, hi in edges[1:]:
-            heads = tails = None
-            heads, tails = texts(n_up - 1 + lo, n_up - 1 + hi)
-            yield from _stitch(heads, range(lo, hi), tails)
+            block = None
+            block = texts(n_up - 1 + lo, n_up - 1 + hi)
+            yield from _fill(block, range(lo, hi))
 
     def csv_blocks(self) -> Iterator[str]:
         """Per-order table; column order n, f_crit_hz, w_eff_hz, dof."""

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, artifacts, reproducibility."""
 
+import ast
 import contextlib
 import io
 import json
@@ -143,6 +144,20 @@ class TestConfigFile:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [(None, r"^cannot read config file: "), ("f0 1e9\n", r":1: expected 'key = value', got 'f0 1e9'$"),
+         ("\nbandwidth = 1e9\n", r":2: unknown key 'bandwidth'$"), ("f0 = fast\n", r":1: bad number 'fast'$"),
+         ("seed = 2.5\n", r":1: seed must be a whole number, got '2.5'$")],
+        ids=["unreadable", "no-equals", "unknown-key", "bad-number", "non-whole-integer"],
+    )
+    def test_loader_raises_value_error(self, tmp_path, text, message):
+        cfg = tmp_path / "cfg.txt"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config_file(str(cfg))
 
     def test_loader_accepts_plan_keys(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -671,3 +686,22 @@ def traced_analyze_peak(out, radius):
     finally:
         tracemalloc.stop()
     return rows, peak
+
+
+def test_every_artifact_goes_through_one_writer_per_format():
+    # the writers are the only callers of _artifact, the one place an artifact is opened
+    text = Path(cli.__file__).read_text()
+    tree = ast.parse(text)
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            # breadth first, so a nested function's nodes end with its own name
+            owner.update({id(node): fn.name for node in ast.walk(fn)})
+    callers = {"_artifact": set(), "open": set()}
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if isinstance(node, ast.Call) and name in callers:
+            callers[name].add(owner.get(id(node)))
+    assert callers == {"_artifact": {"_write_csv", "_write_json", "_write_report_json"}, "open": {"_artifact"}}
+    assert text.count("# generated:") == 1

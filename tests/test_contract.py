@@ -9,8 +9,9 @@ takes a finite real number under one rule: booleans, strings, None,
 complex numbers, NaN, infinities and integers past the float range raise
 a ValueError that names the parameter, and no call returns a NaN or an
 undocumented infinity.  A second table lists those, under its own guard.
-A float32 position synthesizes the field of its value in float64, and an
-argument sequence that mixes booleans with numbers is rejected.
+A float32 position synthesizes the field of its value in float64, a
+ChannelConfig stores every field as a float, and an argument sequence
+that mixes booleans with numbers is rejected.
 """
 
 import cmath
@@ -38,6 +39,7 @@ from wavedof import (
     chebyshev_second_kind,
     critical_frequency,
     effective_bandwidth,
+    effective_time,
     empirical_order_snr,
     make_scatterers,
     modal_coefficients,
@@ -50,6 +52,7 @@ from wavedof import (
     synth_field_modal,
     synth_field_planewave,
     time_support_check,
+    total_dof,
 )
 
 CFG = ChannelConfig(f0=1.5e9, half_bw=1.3e9, radius=0.1, obs_time=0.0, wave_speed=3e8, p_max=1000.0)
@@ -329,11 +332,18 @@ def test_config_non_finite_rejected(name, value):
 
 
 @pytest.mark.parametrize("kind", [float, int, np.float64, np.float32, np.int64])
-def test_config_real_types_kept_as_given(kind):
-    # the values themselves are kept, so each type gives the one configuration
-    cfg = ChannelConfig(**{**CONFIG_KW, "radius": kind(2), "obs_time": kind(0)})
-    assert type(cfg.radius) is kind and cfg.radius == 2
-    assert cfg.k_max * cfg.radius == ChannelConfig(**{**CONFIG_KW, "radius": 2.0}).k_max * 2.0
+def test_config_fields_stored_as_float(kind):
+    # every field is stored as the float of its value, so each type gives the
+    # one configuration and a float64 budget (at radius np.float32(0.1) too)
+    given = {**CONFIG_KW, "noise_var": 1.0, "gamma": 1.0}
+    assert set(given) == set(CONFIG_FIELDS)
+    cfg = ChannelConfig(**{k: kind(v) for k, v in given.items()})
+    ref = ChannelConfig(**{k: float(kind(v)) for k, v in given.items()})
+    for name in CONFIG_FIELDS:
+        assert type(getattr(cfg, name)) is float and getattr(cfg, name) == getattr(ref, name)
+    assert critical_frequency(cfg, 5) == critical_frequency(ref, 5)
+    assert total_dof(cfg).total == total_dof(ref).total
+    assert type(effective_time(cfg)) is float and effective_time(cfg) == effective_time(ref)
 
 
 @pytest.mark.parametrize("route, holder", [(synth_field_planewave, SCATTERERS), (synth_field_modal, MODAL)],
