@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _FLOAT_MAX, _MAX_ORDER, _int_arg, _real_arg, bessel_j_table
+from .specfun import _FLOAT_MAX, _MAX_ORDER, _array_arg, _int_arg, _real_arg, bessel_j_table
 
 __all__ = [
     "ChannelConfig",
@@ -116,6 +116,21 @@ def _modal_order(kr: float) -> int:
     return int(math.ceil(math.e * kr / 2.0)) + 12
 
 
+def _set_arrays(holder, fields: tuple) -> None:
+    """Store each (name, dtype, ndim) array field of a frozen container as a ``dtype`` array.
+
+    A field must hold numbers of ``dtype``'s kinds (see ``specfun._array_arg``),
+    have ``ndim`` axes and be finite, or a ValueError names it.
+    """
+    for name, dtype, ndim in fields:
+        arr = _array_arg(getattr(holder, name), name, dtype)
+        if arr.ndim != ndim:
+            raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(holder, name, arr)
+
+
 @dataclass(frozen=True)
 class ScattererSet:
     """Discrete far-field scatterer ensemble on a shared frequency grid."""
@@ -125,9 +140,7 @@ class ScattererSet:
     freq_grid: np.ndarray   # Hz, shape (K,)
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
-        object.__setattr__(self, "gains", np.asarray(self.gains, dtype=complex))
-        object.__setattr__(self, "freq_grid", np.asarray(self.freq_grid, dtype=float))
+        _set_arrays(self, (("angles", float, 1), ("gains", complex, 2), ("freq_grid", float, 1)))
         if self.angles.size == 0:
             raise ValueError("angle list must be non-empty")
         if self.gains.shape != (self.angles.size, self.freq_grid.size):
@@ -137,8 +150,6 @@ class ScattererSet:
             )
         if self.freq_grid.size < 2 or np.any(np.diff(self.freq_grid) <= 0.0):
             raise ValueError("freq_grid must be strictly increasing with at least 2 points")
-        if not np.all(np.isfinite(self.gains)):
-            raise ValueError("gains must be finite")
         object.__setattr__(self, "_grid_memo", None)
 
     @property
@@ -155,9 +166,7 @@ class ModalSpectrum:
     freq_grid: np.ndarray   # Hz, shape (K,)
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", np.asarray(self.orders, dtype=int))
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        object.__setattr__(self, "freq_grid", np.asarray(self.freq_grid, dtype=float))
+        _set_arrays(self, (("orders", int, 1), ("coeffs", complex, 2), ("freq_grid", float, 1)))
         n_max = self.orders.max(initial=0)
         if not np.array_equal(self.orders, symmetric_orders(n_max)):
             raise ValueError("orders must be the symmetric range -n_max..n_max")
@@ -166,8 +175,6 @@ class ModalSpectrum:
                 f"coeffs must have shape (num_orders, num_freqs) = "
                 f"({self.orders.size}, {self.freq_grid.size}), got {self.coeffs.shape}"
             )
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coeffs must be finite")
         object.__setattr__(self, "_grid_memo", None)
 
     @cached_property
@@ -201,15 +208,11 @@ class FieldSamples:
     noise_included: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "freq_grid", np.asarray(self.freq_grid, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
+        _set_arrays(self, (("positions", float, 2), ("freq_grid", float, 1), ("values", complex, 2)))
+        if self.positions.shape[1] != 2:
             raise ValueError("positions must be (r, phi) rows")
         if self.values.shape != (self.positions.shape[0], self.freq_grid.size):
             raise ValueError("values must have shape (num_positions, num_freqs)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
 
 
 def make_scatterers(cfg: ChannelConfig, num_scatterers: int, num_freqs: int, seed: int) -> ScattererSet:

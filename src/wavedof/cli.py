@@ -21,12 +21,13 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .channel import ChannelConfig, _check_cells
-from .dofcore import DofReport, total_dof
+from .dofcore import _ROW_BLOCK, DofReport, _split_rows, total_dof
 from .specfun import _real_arg, bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
 from .verify import TrialPlan, run_campaign
 
@@ -243,6 +244,15 @@ def cmd_simulate(args, file_vals: dict) -> int:
     return 0 if report.passed else 3
 
 
+def _table_lines(header: str, cols: list) -> Iterator[str]:
+    """``header``, then one ``%.9g`` row per index of the columns, formatted _ROW_BLOCK rows at a time."""
+    yield header
+    fmt = ",".join(["%.9g"] * len(cols)) + "\n"
+    for lo in range(0, cols[0].size, _ROW_BLOCK):
+        block = [c[lo:lo + _ROW_BLOCK] for c in cols]
+        yield from _split_rows(fmt, block, block[0].size)
+
+
 def cmd_tables(args, file_vals: dict) -> int:
     orders = args.orders
     if not orders or any(n < 0 for n in orders):
@@ -270,15 +280,13 @@ def cmd_tables(args, file_vals: dict) -> int:
             cols[f"t{n}"] = chebyshev_first_kind(n, grid)
             cols[f"u{n}"] = chebyshev_second_kind(n, grid)
 
-    names = list(cols)
     if args.format == "csv":
         path = out / f"tables_{args.kind}.csv"
-        lines = [f"{z:.9g}," + ",".join(f"{cols[c][i]:.9g}" for c in names) + "\n" for i, z in enumerate(grid)]
-        _write_csv(path, manifest, params, ["z," + ",".join(names) + "\n", *lines])
+        _write_csv(path, manifest, params, _table_lines("z," + ",".join(cols) + "\n", [grid, *cols.values()]))
     else:
         path = out / f"tables_{args.kind}.json"
-        _write_json(path, manifest, {"seed": args.seed, "params": params, "z": [float(z) for z in grid],
-                                     "columns": {c: [float(v) for v in cols[c]] for c in names}})
+        _write_json(path, manifest, {"seed": args.seed, "params": params, "z": grid.tolist(),
+                                     "columns": {c: v.tolist() for c, v in cols.items()}})
     print(f"wrote {path}")
     return 0
 

@@ -36,12 +36,13 @@ __all__ = [
 _E_PI = math.e * math.pi
 
 # Bound on the truncation order N_u; a budget holds 2 N_u - 1 rows of columns.
-_MAX_ORDER = 10_000_000
+_MAX_N_UPPER = 10_000_000
 
 # Orders |n| formatted at once when a report is written as text.  One
 # block's text for both signs takes a few MB, so the writers need the
 # columns plus one block however large N_u is: the traced peak of analyze
 # is 3.5 MB at R = 99 m (one block) and 4.4 MB at R = 251 m (three).
+# ``tables`` formats its rows in blocks of the same size.
 _ROW_BLOCK = 8192
 # Rows per string handed to a writer.  A writer copies what it gets (the
 # JSON spelling of inf, the encoding) while the innermost block's text is
@@ -162,16 +163,16 @@ def truncation_order(cfg: ChannelConfig) -> int:
     # a zero scale puts every F_n at 0, so no order clears the band
     estimate = cfg.band_high / scale - shift if scale > 0.0 else math.inf
     # bound first: far past it n - 1 == n in floats, and floor(inf) raises
-    if estimate <= _MAX_ORDER:
+    if estimate <= _MAX_N_UPPER:
         n = max(1, math.floor(estimate) + 1)
         # where F_n lies within an ulp of band_high the floor can be one off
         while n > 1 and critical_frequency(cfg, n - 1) > cfg.band_high:
             n -= 1
         while critical_frequency(cfg, n) <= cfg.band_high:
             n += 1
-        if n <= _MAX_ORDER:
+        if n <= _MAX_N_UPPER:
             return n
-    raise ValueError(f"truncation order exceeds the bound N_u <= {_MAX_ORDER}; reduce radius, band or snr_max")
+    raise ValueError(f"truncation order exceeds the bound N_u <= {_MAX_N_UPPER}; reduce radius, band or snr_max")
 
 
 def _usable_band(cfg: ChannelConfig, n, f_crit):

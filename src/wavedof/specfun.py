@@ -7,16 +7,14 @@ argument z >= 1e-8 runs Miller's backward recurrence (normalized with
 J_0 + 2*sum_k J_{2k} = 1), which keeps the tiny pre-turn-on values of high
 orders accurate where a naive forward recurrence would explode and loses no
 digits to cancellation; below 1e-8 the leading term (z/2)^n / n! is J_n(z)
-to rounding.  A call with at least ``_ARRAY_MIN_ARGS`` recurrence arguments
-runs across them at once in numpy, with the same operations in the same
-order per argument, so both paths give the same bits; fewer arguments take
-the per-argument loop, which is faster for them.  That loop works on plain
-Python floats and lists, because a modal synthesis runs it at one argument
-over up to hundreds of orders, and it takes its steps two at a time: the
-recurrence starts at an even order, so which step of each pair adds to the
-normalization sum is fixed and no step tests its parity.
-A scalar argument inside the domain, the modal synthesis's case, skips the
-table and goes straight to its rule.
+to rounding.  The input's kind picks how the recurrence runs, and both ways
+give the same bits.  A scalar, a modal synthesis's one argument over up to
+hundreds of orders, runs it alone on plain Python floats and lists, two
+steps at a time: the recurrence starts at an even order, so which step of
+each pair adds to the normalization sum is fixed and no step tests its
+parity.  An array, the campaign's one order over a frequency grid, runs it
+across all its arguments at once in numpy, with the same operations in the
+same order per argument.
 ``bessel_j`` reads one entry of that table.
 """
 
@@ -58,11 +56,6 @@ _MAX_ARG = 1e5
 # (z/2)^n / n! below it: (z/2)^2 < 2^-53 there, and Miller's first steps
 # overflow for z below about 1e-100.
 _TINY_Z = 1e-8
-
-# A call with at least this many recurrence arguments runs across them at
-# once; fewer take the per-argument loop, which is faster there (measured
-# crossover about 48 arguments).  Both give the same bits.
-_ARRAY_MIN_ARGS = 64
 
 
 class StirlingBound(NamedTuple):
@@ -114,18 +107,23 @@ def _real_arg(value, name: str, lo: float = -_FLOAT_MAX, open_lo: bool = False):
     return value
 
 
-def _real_array(z, name: str) -> np.ndarray:
-    """z, a scalar or an array of integers or floats, as a float array; any other z is a ValueError naming ``name``."""
+# An array's element type: the dtype kinds it may hold, and its name in an error
+_ARRAY_KINDS = {float: ("iuf", "a real number"), complex: ("iufc", "a complex number"), int: ("iu", "an integer")}
+
+
+def _array_arg(z, name: str, dtype: type = float) -> np.ndarray:
+    """z, a scalar or an array of ``dtype``'s _ARRAY_KINDS, as a ``dtype`` array; any other z is a ValueError naming ``name``."""
+    kinds, noun = _ARRAY_KINDS[dtype]
     # checked before the cast, which reads a bool as 0 or 1, a digit string as its number and None as NaN
     arr = np.asarray(z)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a real number, got {(arr.item() if arr.ndim == 0 else arr)!r}")
+    if arr.dtype.kind not in kinds:
+        raise ValueError(f"{name} must be {noun}, got {(arr.item() if arr.ndim == 0 else arr)!r}")
     if arr.ndim and not isinstance(z, np.ndarray):
         # numpy promotes a sequence that mixes bools with numbers to a number array
         for item in np.asarray(z, dtype=object).flat:
             if isinstance(item, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a real number, got {item!r}")
-    return arr.astype(float, copy=False)
+                raise ValueError(f"{name} must be {noun}, got {item!r}")
+    return arr.astype(dtype, copy=False)
 
 
 def _check_order_arg(n: int, z: np.ndarray) -> None:
@@ -281,32 +279,25 @@ def bessel_j_table(n_max: int, z) -> np.ndarray:
     Domain: integer 0 <= n_max <= 10^4 and 0 <= z <= 10^5, z a scalar or an
     array of integers or floats (a bool, string, None or complex is rejected).
     A scalar inside the domain returns its rule's row as it is, with no
-    table, classification or domain scan around it; the same row as at that
-    argument in an array.
+    table or domain scan around it; an array runs its recurrence arguments
+    together.  Both give the same row at the same argument.
     """
     n_max = _int_arg(n_max, hi=_MAX_ORDER)
-    z = np.asarray(z, dtype=float) if type(z) is float else _real_array(z, "argument")
+    z = np.asarray(z, dtype=float) if type(z) is float else _array_arg(z, "argument")
     if z.ndim == 0 and n_max >= 0:
         zk = float(z)
         # a NaN fails both comparisons; any argument that fails one is left to the checks below
         if 0.0 <= zk <= _MAX_ARG:
             return _miller_table(n_max, zk) if zk >= _TINY_Z else _leading_terms(n_max, zk)
     _check_order_arg(n_max, z)
-    out = np.zeros(z.shape + (n_max + 1,))
-    rows = out.reshape(-1, n_max + 1)
-    args = z.ravel().tolist()
-    miller = []
-    for i, zk in enumerate(args):
-        if zk >= _TINY_Z:
-            miller.append(i)
-        else:
-            rows[i] = _leading_terms(n_max, zk)
-    if len(miller) >= _ARRAY_MIN_ARGS:
-        rows[miller] = _miller_rows(n_max, np.array([args[i] for i in miller]))
-    else:
-        for i in miller:
-            rows[i] = _miller_table(n_max, args[i])
-    return out
+    args = z.ravel()
+    rows = np.zeros((args.size, n_max + 1))
+    tiny = args < _TINY_Z
+    for i in np.flatnonzero(tiny).tolist():
+        rows[i] = _leading_terms(n_max, float(args[i]))
+    if not tiny.all():
+        rows[~tiny] = _miller_rows(n_max, args[~tiny])
+    return rows.reshape(z.shape + (n_max + 1,))
 
 
 def bessel_j(n: int, z: float) -> float:
@@ -320,7 +311,7 @@ def _chebyshev(n, z, first_step: float):
     ``z`` is a scalar (float result) or an array (array result, elementwise).
     """
     n = _int_arg(n, lo=0, hi=_MAX_ORDER)
-    z_arr = _real_array(z, "Chebyshev argument")
+    z_arr = _array_arg(z, "Chebyshev argument")
     outside = ~(np.abs(z_arr) <= 1.0)
     if outside.any():
         raise ValueError(f"Chebyshev polynomials are defined on [-1, 1], got {z_arr[outside][0]}")

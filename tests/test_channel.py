@@ -642,6 +642,62 @@ class TestSerialization:
                 values=np.zeros((3, 1), dtype=complex),
             )
 
+    def test_nan_angle_rejected(self):
+        # the plane-wave synthesis would return nan+nanj
+        with pytest.raises(ValueError, match="^angles must be finite$"):
+            ScattererSet(angles=[math.nan, 1.0], gains=np.ones((2, 2)), freq_grid=[2e8, 3e8])
+
+    def test_grid_ending_in_inf_rejected(self):
+        # the grid search's relative tolerance would put every omega "on the
+        # grid" and synthesize 7.77e8 Hz from the 2e8 Hz gains
+        with pytest.raises(ValueError, match="^freq_grid must be finite$"):
+            ScattererSet(angles=[0.3, 1.0], gains=np.ones((2, 2)), freq_grid=[2e8, math.inf])
+        with pytest.raises(ValueError, match="^freq_grid must be finite$"):
+            ModalSpectrum(orders=[0], coeffs=np.ones((1, 2)), freq_grid=[2e8, math.inf])
+
+    def test_nan_grid_entry_rejected(self):
+        # NaN fails every comparison, so the increasing check alone lets it through
+        with pytest.raises(ValueError, match="^freq_grid must be finite$"):
+            ScattererSet(angles=[0.3], gains=np.ones((1, 3)), freq_grid=[1.0, math.nan, 3.0])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(angles=["0.5", "1"]), "angles must be a real number, got "),
+            (dict(angles=np.array(["0.5", "1"])), "angles must be a real number, got "),
+            (dict(gains=[["1", "1"], ["1", "1"]]), "gains must be a complex number, got "),
+            (dict(gains=np.ones((2, 2), dtype=bool)), "gains must be a complex number, got "),
+            (dict(gains=[[True, 1.0], [1.0, 1.0]]), "gains must be a complex number, got True"),
+        ],
+    )
+    def test_non_number_scatterer_arrays_rejected(self, fields, message):
+        # the float and complex casts read a digit string as its number and a bool as 0 or 1
+        args = dict(angles=[0.3, 1.0], gains=np.ones((2, 2)), freq_grid=[1.0, 2.0]) | fields
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ScattererSet(**args)
+
+    @pytest.mark.parametrize("field", ["positions", "freq_grid"])
+    def test_nan_field_sample_axes_rejected(self, field):
+        args = dict(positions=[[0.1, 0.0], [0.1, 1.0]], freq_grid=[1.0], values=np.ones((2, 1)))
+        args[field] = [[0.1, 0.0], [math.nan, 1.0]] if field == "positions" else [math.nan]
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            FieldSamples(**args)
+
+    @pytest.mark.parametrize(
+        "angles, message",
+        [([0.3, 1j], r"^angles must be a real number, got "), ([[0.3, 1.0]], r"^angles must be 1-D, got shape \(1, 2\)$")],
+    )
+    def test_complex_or_2d_angles_rejected_at_construction(self, angles, message):
+        # the synthesis would raise a TypeError, for a 2-D set only once it is used
+        with pytest.raises(ValueError, match=message):
+            ScattererSet(angles=angles, gains=np.ones((2, 2)), freq_grid=[1.0, 2.0])
+
+    @pytest.mark.parametrize("orders", [[-1.5, 0, 1.5], ["-1", "0", "1"], [-1.0, 0.0, 1.0]])
+    def test_non_integer_orders_rejected(self, orders):
+        # an integer cast would truncate them to -1, 0, 1
+        with pytest.raises(ValueError, match="^orders must be an integer, got "):
+            ModalSpectrum(orders=orders, coeffs=np.ones((3, 2)), freq_grid=[1.0, 2.0])
+
 
 I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from wavedof import __version__, cli, dofcore
 from wavedof.channel import ChannelConfig
 from wavedof.cli import load_config_file, main
+from wavedof.specfun import chebyshev_first_kind, chebyshev_second_kind
 
 WORKED = [
     "--f0", "2.4e9", "--half-bw", "0.5e9", "--radius", "0.1",
@@ -403,6 +404,30 @@ class TestTables:
             assert max(abs(v) for v in cols[f"t{n}"]) <= 1.0 + 1e-12
         # second kind hits n+1 at the endpoints
         assert cols["u9"][-1] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 5, cli._ROW_BLOCK])
+    def test_rows_spelled_cell_by_cell_across_blocks(self, tmp_path, block):
+        # the rows are formatted a block at a time, as each cell's f"{v:.9g}" joined by commas
+        with mock.patch.object(cli, "_ROW_BLOCK", block):
+            main(["tables", "--kind", "chebyshev", "--orders", "3", "0", "--samples", "9", "--out", str(tmp_path)])
+        grid = np.linspace(-1.0, 1.0, 9)
+        cols = [grid, chebyshev_first_kind(3, grid), chebyshev_second_kind(3, grid), np.ones(9), np.ones(9)]
+        want = ["z,t3,u3,t0,u0\n"] + [",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(9)]
+        lines = (tmp_path / "tables_chebyshev.csv").read_text().splitlines(keepends=True)
+        assert lines[5:] == want
+
+    def test_traced_peak_is_the_columns_plus_one_block(self, tmp_path, capsys):
+        # 60,000 rows of three 8-byte columns; the whole table's text would take 6.4 MB
+        argv = ["tables", "--kind", "chebyshev", "--orders", "0", "--samples", "60000", "--out", str(tmp_path)]
+        main(argv)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of text and the numbers it is formatted from: measured 146 B per row
+        assert peak < 3 * 8 * 60_000 + 200 * cli._ROW_BLOCK
 
     def test_json_format(self, tmp_path):
         main([

@@ -9,6 +9,7 @@ table, is kept below as the bitwise oracle of the kernel.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavedof import specfun
 from wavedof.specfun import (
     bessel_j,
     bessel_j_table,
@@ -105,24 +105,23 @@ _tiny_z = st.one_of(_special_z, st.floats(0.0, _TINY_Z))
 _miller_z = st.one_of(st.floats(_TINY_Z, 12.0), st.floats(12.0, 300.0))
 _any_z = st.one_of(_tiny_z, _miller_z)
 
-# arrays on both sides of the argument count at which the kernel switches
-# from its per-argument loop to its array path
-_THRESHOLD = specfun._ARRAY_MIN_ARGS
-_args_either_side = dict(min_size=_THRESHOLD - 3, max_size=2 * _THRESHOLD + 3)
+# longer arrays, of the sizes the campaign passes (its frequency grids hold
+# 15 to a few hundred arguments)
+_longer_args = dict(min_size=15, max_size=131)
 
 
 @st.composite
 def _table_cases(draw):
-    """(n_max, z): scalars and short lists, or arrays across the dispatch threshold."""
+    """(n_max, z): scalars and short lists, or longer 1-D and (2, k) arrays."""
     z = draw(
         st.one_of(
             _any_z,
             st.lists(_any_z, min_size=0, max_size=6),
             st.lists(_any_z, min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
-            st.lists(_miller_z, **_args_either_side),
-            st.lists(_any_z, **_args_either_side),
-            st.lists(_any_z, min_size=2 * _THRESHOLD + 2, max_size=2 * _THRESHOLD + 2).map(
-                lambda v: np.reshape(v, (2, _THRESHOLD + 1))
+            st.lists(_miller_z, **_longer_args),
+            st.lists(_any_z, **_longer_args),
+            st.lists(_any_z, min_size=130, max_size=130).map(
+                lambda v: np.reshape(v, (2, 65))
             ),
         )
     )
@@ -252,29 +251,58 @@ class TestBesselKernel:
         # long before n_max
         rng = np.random.default_rng(SEED + 4)
         for n_max, z in (
-            (300, rng.uniform(12.0, 14.0, _THRESHOLD)),
-            (150, np.geomspace(1e-300, 1e-3, _THRESHOLD)),
-            (2000, np.geomspace(_TINY_Z, 12.0, _THRESHOLD)),
+            (300, rng.uniform(12.0, 14.0, 64)),
+            (150, np.geomspace(1e-300, 1e-3, 64)),
+            (2000, np.geomspace(_TINY_Z, 12.0, 64)),
         ):
             assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
 
     def test_scalar_path_rescale_and_underflow(self):
-        # the same regimes with fewer arguments than the array threshold,
-        # so each argument runs the per-argument loops; at n_max 300 and
-        # z = 13 the recurrence rescales its partial table once, at n_max
-        # 10^4 it rescales about 40 times at z = 13 and thousands at 1e-7
+        # the same regimes at one scalar argument, which runs the
+        # per-argument loops; at n_max 300 and z = 13 the recurrence
+        # rescales its partial table once, at n_max 10^4 it rescales about
+        # 40 times at z = 13 and thousands at 1e-7
+        for n_max, z in ((300, 13.0), (150, 1e-200), (10_000, 13.0), (10_000, 1e-7)):
+            assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
+
+    def test_small_array_rescale_and_underflow(self):
+        # the same regimes in arrays of one to a few arguments, which run the array path
         rng = np.random.default_rng(SEED + 5)
         for n_max, z in (
             (300, rng.uniform(12.0, 14.0, 1)),
             (300, rng.uniform(12.0, 14.0, 5)),
-            (300, 13.0),
+            (300, np.array([13.0])),
             (150, np.geomspace(1e-300, 1e-3, 5)),
-            (150, 1e-200),
-            (10_000, 13.0),
-            (10_000, 1e-7),
+            (150, np.array([1e-200])),
+            (10_000, np.array([13.0, 1e-7])),
         ):
-            assert np.size(z) < _THRESHOLD
             assert bessel_j_table(n_max, z).tobytes() == oracle_table(n_max, z).tobytes()
+
+    def test_array_path_at_every_size(self):
+        # mixed, all-tiny and one-recurrence-argument arrays of 0 to 70
+        # arguments, the even sizes also as (2, k)
+        rng = np.random.default_rng(SEED + 6)
+        for size in range(71):
+            tiny = rng.uniform(0.0, _TINY_Z, size)
+            mixed = np.where(rng.random(size) < 0.5, tiny, rng.uniform(_TINY_Z, 30.0, size))
+            one = tiny.copy()
+            one[: min(size, 1)] = 13.0
+            rng.shuffle(one)
+            for z in (mixed, tiny, one, mixed.reshape(2, -1) if size % 2 == 0 else mixed):
+                assert bessel_j_table(20, z).tobytes() == oracle_table(20, z).tobytes(), (size, z)
+
+    def test_all_tiny_table_peak(self):
+        # one leading-term row at a time into the table: the traced peak is
+        # the 2^22-cell table (33.5 MB) and at most 1 MB more
+        z = np.linspace(0.0, 1e-9, 419)
+        tracemalloc.start()
+        try:
+            table = bessel_j_table(10_000, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (419, 10_001)
+        assert peak <= table.nbytes + 2**20
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(n_max=st.integers(0, 250), z=st.one_of(st.floats(1e-3, 12.0), st.floats(12.0, 300.0)))
@@ -363,9 +391,9 @@ class TestBesselDomain:
             bessel_j(0, math.inf)
         with pytest.raises(ValueError, match="finite"):
             bessel_j_table(3, [1.0, math.nan])
-        # a NaN among enough arguments for the array path
-        z = np.linspace(0.0, 20.0, 2 * _THRESHOLD)
-        z[_THRESHOLD + 1] = math.nan
+        # a NaN deep inside a longer array
+        z = np.linspace(0.0, 20.0, 128)
+        z[65] = math.nan
         with pytest.raises(ValueError, match=r"^argument must be finite, got nan$"):
             bessel_j_table(3, z)
         # a negative infinity is negative before it is non-finite
@@ -389,17 +417,17 @@ class TestBesselDomain:
     def test_negative_zero_and_empty_accepted(self):
         want = bessel_j_table(3, 0.0)
         assert bessel_j_table(3, -0.0).tobytes() == want.tobytes()
-        assert bessel_j_table(3, np.full(_THRESHOLD, -0.0)).tobytes() == np.tile(want, (_THRESHOLD, 1)).tobytes()
+        assert bessel_j_table(3, np.full(64, -0.0)).tobytes() == np.tile(want, (64, 1)).tobytes()
         assert bessel_j_table(3, []).shape == (0, 4)
         assert bessel_j_table(3, np.zeros((0, 5))).shape == (0, 5, 4)
 
     def test_argument_bound(self):
         assert abs(bessel_j_table(0, 1e5)[0]) <= 1.0
-        assert np.all(np.abs(bessel_j_table(1, np.full(_THRESHOLD, 1e5))) <= 1.0)
+        assert np.all(np.abs(bessel_j_table(1, np.full(64, 1e5))) <= 1.0)
         with pytest.raises(ValueError, match="<= 100000"):
             bessel_j(0, math.nextafter(1e5, math.inf))
         with pytest.raises(ValueError, match=r"^argument must be <= 100000, got 100000\.00000000001$"):
-            bessel_j_table(0, np.full(_THRESHOLD, np.nextafter(1e5, math.inf)))
+            bessel_j_table(0, np.full(64, np.nextafter(1e5, math.inf)))
         with pytest.raises(ValueError, match="<= 100000"):
             bessel_j_table(2, np.array([[1.0, 2.0], [3.0, 1e8]]))
 
@@ -436,7 +464,7 @@ class TestBesselDomain:
         with pytest.raises(ValueError, match=r"^argument must be a real number, got "):
             bessel_j_table(2, z)
         with pytest.raises(ValueError, match=r"^argument must be a real number, got "):
-            bessel_j_table(2, np.full(_THRESHOLD, z, dtype=object) if np.ndim(z) == 0 else z)
+            bessel_j_table(2, np.full(64, z, dtype=object) if np.ndim(z) == 0 else z)
 
     def test_non_number_scalar_named_as_given(self):
         with pytest.raises(ValueError, match=r"^argument must be a real number, got '1'$"):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wavedof import specfun, verify
+from wavedof import verify
 from wavedof.channel import (
     ChannelConfig,
     _circle_nodes,
@@ -614,7 +614,6 @@ class TestBlockedStages:
         shipped = json.dumps(run_campaign(cfg, p).to_dict())
         # whole arrays: one block of every draw and synthesis
         monkeypatch.setattr(verify, "_BLOCK_CELLS", sys.maxsize)
-        monkeypatch.setattr(specfun, "_ARRAY_MIN_ARGS", sys.maxsize)
         assert json.dumps(run_campaign(cfg, p).to_dict()) == shipped
         # one trial per block, and so per pool task, the finest split
         monkeypatch.undo()
