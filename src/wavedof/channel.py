@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _FLOAT_MAX, _MAX_ORDER, _array_arg, _int_arg, _real_arg, bessel_j_table
+from .config import ChannelConfig, _check_cells, _int_arg, _real_arg
+from .specfun import _MAX_ORDER, _array_arg, bessel_j_table
 
 __all__ = [
-    "ChannelConfig",
     "ScattererSet",
     "ModalSpectrum",
     "FieldSamples",
@@ -33,68 +33,7 @@ __all__ = [
     "synth_field_circle",
 ]
 
-SPEED_OF_LIGHT = 2.998e8
-
-# Bound on the largest array a synthesis or a verification plan makes, in
-# complex cells: scatterers by frequencies, circle nodes by scatterers,
-# trials (or probed orders) by circle nodes (or frequency samples).  2^24
-# cells is 256 MB per array, 32x the default verification plan.
-_MAX_CELLS = 2**24
-
-
-def _check_cells(what: str, rows: int, cols: int, limit: int = _MAX_CELLS) -> None:
-    """Reject an array of rows * cols cells past ``limit``; ``what`` names the product."""
-    if rows * cols > limit:
-        raise ValueError(f"{what} must be <= {limit} cells, got {rows} * {cols} = {rows * cols}")
-
-
 _I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Physical scenario: band, geometry, observation time, noise and threshold.
-
-    Every field is a finite real number (see ``specfun._real_arg``), stored
-    as a Python float, with f0 > half_bw > 0 and wave_speed, gamma > 0.
-    The rest admit 0 as degenerate limits (point observation region, no
-    observation time, noiseless sensing, silent channel); the operations
-    that would divide by them reject the degenerate value instead.
-    """
-
-    f0: float                       # center frequency, Hz
-    half_bw: float                  # half bandwidth, Hz
-    radius: float                   # observation disk radius, m
-    obs_time: float                 # observation window length, s
-    wave_speed: float = SPEED_OF_LIGHT
-    noise_var: float = 1.0          # noise power per order
-    p_max: float = 1.0              # max per-order spectral power
-    gamma: float = 1.0              # detection SNR threshold
-
-    def __post_init__(self):
-        for name, value in self.to_dict().items():
-            lo = -_FLOAT_MAX if name in ("f0", "half_bw") else 0.0
-            # a float, so an np.float32 field puts no budget arithmetic in float32
-            object.__setattr__(self, name, float(_real_arg(value, name, lo, open_lo=name in ("wave_speed", "gamma"))))
-        if not self.f0 > self.half_bw > 0.0:
-            raise ValueError(f"band must satisfy f0 > half_bw > 0, got f0={self.f0}, half_bw={self.half_bw}")
-
-    @property
-    def band_low(self) -> float:
-        return self.f0 - self.half_bw
-
-    @property
-    def band_high(self) -> float:
-        return self.f0 + self.half_bw
-
-    @property
-    def k_max(self) -> float:
-        """Largest wavenumber in the band, rad/m."""
-        return 2.0 * math.pi * self.band_high / self.wave_speed
-
-    def to_dict(self) -> dict:
-        """The fields by name, in declaration order; the values themselves, not copies."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def symmetric_orders(n_max: int) -> np.ndarray:

@@ -8,6 +8,9 @@ fully resolved configuration, and the tool version; JSON bodies carry no
 timestamp and CSV carries it only on a comment line, so re-runs with the
 same inputs are byte-identical up to that line.
 
+Each command imports the modules it computes with once its inputs are
+checked, so ``--version``, ``--help`` and an input error load no numpy.
+
 Exit codes: 0 success, 2 invalid input, 3 verification failure.
 """
 
@@ -16,20 +19,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
-from .channel import ChannelConfig, _check_cells
-from .dofcore import _ROW_BLOCK, DofReport, _split_rows, total_dof
-from .specfun import _real_arg, bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
-from .verify import TrialPlan, run_campaign
+from .config import ChannelConfig, _check_cells, _real_arg
+
+if TYPE_CHECKING:
+    from .dofcore import DofReport
+    from .verify import TrialPlan
 
 __all__ = ["main", "load_config_file"]
 
@@ -50,8 +54,9 @@ _INT_KEYS = ("seed", *_PLAN_KEYS)
 SWEEP_AXES = ("radius", "half_bw", "gamma", "obs_time")
 
 # Bound on the cells a table computes: samples times J_0..J_max for
-# bessel, times a T and a U column per order for chebyshev.  2^22 cells
-# is a 34 MB table and a few seconds of work.
+# bessel, times a T and a U column per order for chebyshev.  A few
+# seconds of work: 2^22 chebyshev cells write 98 MB of JSON or 35 MB of
+# CSV, and peak at 82 MB resident in either format.
 _MAX_TABLE_CELLS = 2**22
 
 
@@ -96,6 +101,8 @@ def _resolve_config(args, file_vals: dict) -> ChannelConfig:
 
 
 def _resolve_plan(args, file_vals: dict) -> TrialPlan:
+    from .verify import TrialPlan
+
     # keys left unset take the TrialPlan defaults
     return TrialPlan(seed=args.seed, **_given(args, file_vals, _PLAN_KEYS))
 
@@ -157,35 +164,49 @@ def _write_csv(path: Path, manifest: dict, resolved: dict, blocks) -> None:
         f.writelines(blocks)
 
 
-# Stands for the rows when the rest of dof_report.json is dumped.  It is
+# Stands for a list when the rest of a JSON artifact is dumped.  It is
 # matched together with its key, and a JSON string escapes every quote it
 # holds, so no user text (an --out path, say) can match it.
 _ROWS_PLACEHOLDER = "@rows"
 
 
-def _write_report_json(path: Path, manifest: dict, payload: dict, report: DofReport) -> None:
-    """The artifact of ``payload``, whose rows placeholder becomes the report's rows.
+def _write_report_json(path: Path, manifest: dict, payload: dict, lists: dict) -> None:
+    """The artifact of ``payload``, each of whose placeholders becomes a list streamed from ``lists``.
 
-    The rows are written block by block from the columns, spelled as
-    json.dumps(indent=2, sort_keys=True) spells them.
+    ``lists`` maps each placeholder's key to a function of the indentation
+    of the key's line that yields the list's items, each led by its comma,
+    spelled as json.dumps(indent=2, sort_keys=True) spells them.
     """
-    head, _, tail = _json_artifact(manifest, payload).partition(f'"per_order": "{_ROWS_PLACEHOLDER}"')
-    ind = head[head.rfind("\n") + 1:]
+    text = _json_artifact(manifest, payload)
+    marks = {key: f'"{key}": "{_ROWS_PLACEHOLDER}"' for key in lists}
+    with _artifact(path) as f:
+        # in the order the dump put the keys
+        for key in sorted(lists, key=lambda k: text.index(marks[k])):
+            head, _, text = text.partition(marks[key])
+            ind = head[head.rfind("\n") + 1:]
+            items = lists[key](ind)
+            # the first item's leading comma opens the list instead
+            f.write(head + f'"{key}": [' + next(items)[1:])
+            f.writelines(items)
+            f.write(f"\n{ind}]")
+        f.write(text + "\n")
+
+
+def _report_rows(report: DofReport, ind: str) -> Iterator[str]:
+    """The report's rows as items of a JSON list at indentation ``ind``, written block by block from the columns."""
     row = (f",\n{ind}  {{\n{ind}    \"dof\": %r,\n{ind}    \"f_crit\": %r,\n"
            f"{ind}    \"n\": %d,\n{ind}    \"w_eff\": %r\n{ind}  }}")
     blocks = report.format_rows(row, ("dof", "f_crit", "n", "w_eff"))
-    if np.isinf(report.f_crit).any():
+    if math.inf in report.f_crit:
         # only f_crit can be inf, which JSON spells Infinity; no key holds "inf"
         blocks = (b.replace("inf", "Infinity") for b in blocks)
-    with _artifact(path) as f:
-        # the first row's leading comma opens the list instead
-        f.write(head + '"per_order": [' + next(blocks)[1:])
-        f.writelines(blocks)
-        f.write(f"\n{ind}]" + tail + "\n")
+    return blocks
 
 
 def cmd_analyze(args, file_vals: dict) -> int:
     cfg = _resolve_config(args, file_vals)
+    from .dofcore import total_dof
+
     manifest = _manifest(args, "analyze")
     report = total_dof(cfg)
     out = _out_dir(args)
@@ -194,7 +215,8 @@ def cmd_analyze(args, file_vals: dict) -> int:
     json_path = out / "dof_report.json"
     body = {"config": config, "t_eff": report.t_eff, "n_upper": report.n_upper,
             "per_order": _ROWS_PLACEHOLDER, "total": report.total}
-    _write_report_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body}, report)
+    _write_report_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body},
+                       {"per_order": functools.partial(_report_rows, report)})
     csv_path = out / "dof_report.csv"
     _write_csv(csv_path, manifest, config, report.csv_blocks())
 
@@ -210,6 +232,8 @@ def cmd_sweep(args, file_vals: dict) -> int:
     if len(values) < 1 or any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep values must be strictly increasing")
     base = _resolve_config(args, file_vals).to_dict()
+    from .dofcore import total_dof
+
     rows = []
     # validate and evaluate every point before any output is written
     for v in values:
@@ -236,7 +260,10 @@ def cmd_sweep(args, file_vals: dict) -> int:
 
 
 def cmd_simulate(args, file_vals: dict) -> int:
-    report = run_campaign(_resolve_config(args, file_vals), _resolve_plan(args, file_vals))
+    cfg = _resolve_config(args, file_vals)
+    from .verify import run_campaign
+
+    report = run_campaign(cfg, _resolve_plan(args, file_vals))
     path = _out_dir(args) / "verification.json"
     _write_json(path, _manifest(args, "simulate"), report.to_dict())
     print(report.summary_table())
@@ -244,13 +271,22 @@ def cmd_simulate(args, file_vals: dict) -> int:
     return 0 if report.passed else 3
 
 
-def _table_lines(header: str, cols: list) -> Iterator[str]:
-    """``header``, then one ``%.9g`` row per index of the columns, formatted _ROW_BLOCK rows at a time."""
-    yield header
-    fmt = ",".join(["%.9g"] * len(cols)) + "\n"
+def _table_rows(fmt: str, cols: list) -> Iterator[str]:
+    """``fmt`` %-formatted with one value of each column per row, _ROW_BLOCK rows at a time."""
+    from .dofcore import _ROW_BLOCK, _split_rows
+
     for lo in range(0, cols[0].size, _ROW_BLOCK):
         block = [c[lo:lo + _ROW_BLOCK] for c in cols]
         yield from _split_rows(fmt, block, block[0].size)
+
+
+def _json_column(col, ind: str) -> Iterator[str]:
+    """The values of ``col`` as items of a JSON list at indentation ``ind``.
+
+    ``%r`` spells a finite float as json.dumps does, and every table value
+    is finite: |T_n| <= 1, |U_n| <= n + 1 and |J_n| <= 1.
+    """
+    return _table_rows(f",\n{ind}  %r", [col])
 
 
 def cmd_tables(args, file_vals: dict) -> int:
@@ -263,6 +299,10 @@ def cmd_tables(args, file_vals: dict) -> int:
     _check_cells("samples * columns", args.samples, columns, _MAX_TABLE_CELLS)
     if args.kind == "bessel":
         _real_arg(args.z_max, "z-max", 0.0, open_lo=True)
+    import numpy as np
+
+    from .specfun import bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
+
     manifest = _manifest(args, "tables")
     out = _out_dir(args)
     n_top = max(orders)
@@ -282,11 +322,15 @@ def cmd_tables(args, file_vals: dict) -> int:
 
     if args.format == "csv":
         path = out / f"tables_{args.kind}.csv"
-        _write_csv(path, manifest, params, _table_lines("z," + ",".join(cols) + "\n", [grid, *cols.values()]))
+        fmt = ",".join(["%.9g"] * (len(cols) + 1)) + "\n"
+        rows = _table_rows(fmt, [grid, *cols.values()])
+        _write_csv(path, manifest, params, itertools.chain(["z," + ",".join(cols) + "\n"], rows))
     else:
         path = out / f"tables_{args.kind}.json"
-        _write_json(path, manifest, {"seed": args.seed, "params": params, "z": grid.tolist(),
-                                     "columns": {c: v.tolist() for c, v in cols.items()}})
+        payload = {"seed": args.seed, "params": params, "z": _ROWS_PLACEHOLDER,
+                   "columns": dict.fromkeys(cols, _ROWS_PLACEHOLDER)}
+        lists = {c: functools.partial(_json_column, v) for c, v in {"z": grid, **cols}.items()}
+        _write_report_json(path, manifest, payload, lists)
     print(f"wrote {path}")
     return 0
 

@@ -17,8 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelConfig
-from .specfun import _MAX_FLOAT_ORDER, _int_arg, _real_arg
+from .config import _MAX_FLOAT_ORDER, ChannelConfig, _int_arg, _real_arg
 
 __all__ = [
     "SnrBound",

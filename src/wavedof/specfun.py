@@ -21,12 +21,11 @@ same order per argument.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
-import sys
 from typing import NamedTuple
 
 import numpy as np
+
+from .config import _MAX_FLOAT_ORDER, _int_arg, _real_arg
 
 __all__ = [
     "StirlingBound",
@@ -38,14 +37,6 @@ __all__ = [
 ]
 
 _MAX_ORDER = 10_000
-
-# |order| bound where an order only enters float arithmetic (critical
-# frequencies, SNR ceilings, Stirling's bound, quadrature phases): floats
-# hold every integer up to 2^53 exactly, and none past about 1.8e308.
-_MAX_FLOAT_ORDER = 2**53
-
-# A real argument's bounds: the two comparisons that pass a float inside them reject NaN and inf
-_FLOAT_MAX = sys.float_info.max
 
 # Miller's recurrence runs O(z) steps in Python, about 14 ms for one
 # argument at this bound (2-vCPU Xeon VM); the campaign's probes stay below
@@ -63,48 +54,6 @@ class StirlingBound(NamedTuple):
 
     log_value: float
     value: float
-
-
-def _int_arg(value, name: str = "order", lo: int | None = None, hi: int | None = None) -> int:
-    """An integer argument as a Python int, checked against ``lo <= value <= hi`` where given.
-
-    Python and numpy integers pass.  Booleans, floats, strings, None and
-    values outside the bounds are a ValueError naming ``name``.
-    """
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = None
-    # bool is an int subclass, but True is no count, seed or order
-    if n is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if lo is not None and n < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {n}")
-    if hi is not None and n > hi:
-        raise ValueError(f"{name} must be <= {hi}, got {n}")
-    return n
-
-
-def _real_arg(value, name: str, lo: float = -_FLOAT_MAX, open_lo: bool = False):
-    """A finite real argument >= lo (> lo if ``open_lo``), returned as given.
-
-    Python and numpy integers and floats pass unconverted.  Booleans,
-    strings, None, complex numbers, arrays, NaN, infinities, integers past
-    the float range and values below ``lo`` are a ValueError naming ``name``.
-    """
-    # the common case, a float such as every synthesis point's, by two comparisons
-    if type(value) is float and lo <= value <= _FLOAT_MAX and not (open_lo and value == lo):
-        return value
-    # bool is an int subclass, but True is no length, time or power
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    # exact for an integer of any size; a float32 would take the bounds in its own, narrower range
-    v = value if isinstance(value, numbers.Integral) else float(value)
-    if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be finite, got {value}")
-    if v < lo or (open_lo and v == lo):
-        raise ValueError(f"{name} must be {'>' if open_lo else '>='} {lo:g}, got {value}")
-    return value
 
 
 # An array's element type: the dtype kinds it may hold, and its name in an error

@@ -21,9 +21,6 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    _MAX_CELLS,
-    ChannelConfig,
-    _check_cells,
     _circle_nodes,
     _complex_normal,
     _gain_scale,
@@ -33,8 +30,9 @@ from .channel import (
     _white_circle_noise,
     symmetric_orders,
 )
+from .config import _MAX_CELLS, _MAX_FLOAT_ORDER, ChannelConfig, _check_cells, _int_arg, _real_arg
 from .dofcore import critical_frequency, truncation_order
-from .specfun import _MAX_FLOAT_ORDER, _MAX_ORDER, _int_arg, _real_arg, bessel_j_table
+from .specfun import _MAX_ORDER, bessel_j_table
 
 __all__ = [
     "TrialPlan",

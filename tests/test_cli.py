@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from wavedof import __version__, cli, dofcore
 from wavedof.channel import ChannelConfig
 from wavedof.cli import load_config_file, main
-from wavedof.specfun import chebyshev_first_kind, chebyshev_second_kind
+from wavedof.specfun import bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
 
 WORKED = [
     "--f0", "2.4e9", "--half-bw", "0.5e9", "--radius", "0.1",
@@ -405,10 +405,10 @@ class TestTables:
         # second kind hits n+1 at the endpoints
         assert cols["u9"][-1] == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("block", [1, 2, 4, 5, cli._ROW_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 4, 5, dofcore._ROW_BLOCK])
     def test_rows_spelled_cell_by_cell_across_blocks(self, tmp_path, block):
         # the rows are formatted a block at a time, as each cell's f"{v:.9g}" joined by commas
-        with mock.patch.object(cli, "_ROW_BLOCK", block):
+        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
             main(["tables", "--kind", "chebyshev", "--orders", "3", "0", "--samples", "9", "--out", str(tmp_path)])
         grid = np.linspace(-1.0, 1.0, 9)
         cols = [grid, chebyshev_first_kind(3, grid), chebyshev_second_kind(3, grid), np.ones(9), np.ones(9)]
@@ -427,7 +427,41 @@ class TestTables:
         finally:
             tracemalloc.stop()
         # one block of text and the numbers it is formatted from: measured 146 B per row
-        assert peak < 3 * 8 * 60_000 + 200 * cli._ROW_BLOCK
+        assert peak < 3 * 8 * 60_000 + 200 * dofcore._ROW_BLOCK
+
+    @pytest.mark.parametrize("block", [1, 2, 5, dofcore._ROW_BLOCK])
+    @pytest.mark.parametrize("kind,orders", [("bessel", [10, 0, 2]), ("chebyshev", [3, 3, 0, 10])])
+    def test_json_streamed_as_json_dumps_spells_it(self, tmp_path, kind, orders, block):
+        # z and every column are written _ROW_BLOCK values at a time, in the bytes of one json.dumps
+        argv = ["tables", "--kind", kind, "--orders", *map(str, orders), "--samples", "9", "--format", "json"]
+        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"tables_{kind}.json").read_text()
+        body = json.loads(text)
+        assert text == json.dumps(body, indent=2, sort_keys=True) + "\n"
+        if kind == "bessel":
+            grid = np.linspace(0.0, 20.0, 9)
+            want = {f"j{n}": bessel_j_table(10, grid)[:, n].tolist() for n in orders}
+        else:
+            grid = np.linspace(-1.0, 1.0, 9)
+            want = {f"{k}{n}": f(n, grid).tolist() for n in orders
+                    for k, f in (("t", chebyshev_first_kind), ("u", chebyshev_second_kind))}
+        assert body["z"] == grid.tolist()
+        assert body["columns"] == want
+
+    def test_json_traced_peak_is_the_columns_plus_one_block(self, tmp_path, capsys):
+        # 30,000 rows of three 8-byte columns; one json.dumps of the whole body traced 11.6 MB
+        argv = ["tables", "--kind", "chebyshev", "--orders", "0", "--samples", "30000", "--format", "json",
+                "--out", str(tmp_path)]
+        main(argv)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of items and the numbers they are formatted from: measured 1.65 MB in all
+        assert peak < 3 * 8 * 30_000 + 200 * dofcore._ROW_BLOCK
 
     def test_json_format(self, tmp_path):
         main([
