@@ -5,7 +5,7 @@ time, decomposes it into circular-harmonic orders, and computes per-order
 effective bandwidths, the effective observation time, and the total number
 of degrees of freedom, together with a Monte Carlo verification harness.
 
-The public names load their module on first access (PEP 562), so
+The public names and the modules load on first access (PEP 562), so
 ``import wavedof`` and ``wavedof.ChannelConfig`` load no numpy.
 """
 
@@ -31,6 +31,8 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
+    if name in _MODULE_NAMES:
+        return importlib.import_module(f".{name}", __name__)
     try:
         module = _EXPORTS[name]
     except KeyError:
@@ -39,4 +41,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_MODULE_NAMES, *__all__})

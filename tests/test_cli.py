@@ -450,8 +450,8 @@ class TestTables:
         assert body["columns"] == want
 
     def test_json_traced_peak_is_the_columns_plus_one_block(self, tmp_path, capsys):
-        # 30,000 rows of three 8-byte columns; one json.dumps of the whole body traced 11.6 MB
-        argv = ["tables", "--kind", "chebyshev", "--orders", "0", "--samples", "30000", "--format", "json",
+        # 10,000 rows of three 8-byte columns; one json.dumps of the whole body traced 3.9 MB
+        argv = ["tables", "--kind", "chebyshev", "--orders", "0", "--samples", "10000", "--format", "json",
                 "--out", str(tmp_path)]
         main(argv)
         tracemalloc.start()
@@ -460,8 +460,8 @@ class TestTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one block of items and the numbers they are formatted from: measured 1.65 MB in all
-        assert peak < 3 * 8 * 30_000 + 200 * dofcore._ROW_BLOCK
+        # one block of items and the numbers they are formatted from: measured 1.2 MB in all
+        assert peak < 3 * 8 * 10_000 + 200 * dofcore._ROW_BLOCK
 
     def test_json_format(self, tmp_path):
         main([

@@ -51,6 +51,9 @@ for argv, code in (
     numpy_not_loaded(argv)
 assert cli.main(["analyze"]) == 0
 assert "numpy" in sys.modules
+# a module the commands so far did not load is an attribute all the same
+assert "wavedof.verify" not in sys.modules
+assert wavedof.verify is sys.modules["wavedof.verify"]
 """
 
 
@@ -65,7 +68,7 @@ def test_numpy_loads_only_when_a_command_computes(tmp_path):
 
 def test_public_names_kept():
     assert sorted(wavedof.__all__) == sorted(PUBLIC_NAMES)
-    assert {"__all__", "__version__", *PUBLIC_NAMES} <= set(dir(wavedof))
+    assert {"__all__", "__version__", "channel", "dofcore", "specfun", "verify", *PUBLIC_NAMES} <= set(dir(wavedof))
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
