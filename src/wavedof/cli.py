@@ -145,16 +145,6 @@ def _artifact(path: Path):
             f.truncate()
 
 
-def _json_artifact(manifest: dict, payload: dict) -> str:
-    body = {"version": __version__, "manifest": manifest, **payload}
-    return json.dumps(body, indent=2, sort_keys=True)
-
-
-def _write_json(path: Path, manifest: dict, payload: dict) -> None:
-    with _artifact(path) as f:
-        f.write(_json_artifact(manifest, payload) + "\n")
-
-
 def _write_csv(path: Path, manifest: dict, resolved: dict, blocks) -> None:
     """The five ``#`` comment lines (tool, command, seed, resolved inputs, time), then ``blocks`` as given."""
     resolved_line = " ".join(f"{k}={resolved[k]!r}" for k in sorted(resolved))
@@ -170,18 +160,18 @@ def _write_csv(path: Path, manifest: dict, resolved: dict, blocks) -> None:
 _ROWS_PLACEHOLDER = "@rows"
 
 
-def _write_report_json(path: Path, manifest: dict, payload: dict, lists: dict) -> None:
-    """The artifact of ``payload``, each of whose placeholders becomes a list streamed from ``lists``.
+def _write_json(path: Path, manifest: dict, payload: dict, lists: dict | None = None) -> None:
+    """The JSON artifact of ``payload``, each of whose placeholders becomes a list streamed from ``lists``.
 
     ``lists`` maps each placeholder's key to a function of the indentation
     of the key's line that yields the list's items, each led by its comma,
     spelled as json.dumps(indent=2, sort_keys=True) spells them.
     """
-    text = _json_artifact(manifest, payload)
-    marks = {key: f'"{key}": "{_ROWS_PLACEHOLDER}"' for key in lists}
+    text = json.dumps({"version": __version__, "manifest": manifest, **payload}, indent=2, sort_keys=True)
+    marks = {key: f'"{key}": "{_ROWS_PLACEHOLDER}"' for key in lists or ()}
     with _artifact(path) as f:
         # in the order the dump put the keys
-        for key in sorted(lists, key=lambda k: text.index(marks[k])):
+        for key in sorted(marks, key=lambda k: text.index(marks[k])):
             head, _, text = text.partition(marks[key])
             ind = head[head.rfind("\n") + 1:]
             items = lists[key](ind)
@@ -215,8 +205,8 @@ def cmd_analyze(args, file_vals: dict) -> int:
     json_path = out / "dof_report.json"
     body = {"config": config, "t_eff": report.t_eff, "n_upper": report.n_upper,
             "per_order": _ROWS_PLACEHOLDER, "total": report.total}
-    _write_report_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body},
-                       {"per_order": functools.partial(_report_rows, report)})
+    _write_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body},
+                {"per_order": functools.partial(_report_rows, report)})
     csv_path = out / "dof_report.csv"
     _write_csv(csv_path, manifest, config, report.csv_blocks())
 
@@ -330,7 +320,7 @@ def cmd_tables(args, file_vals: dict) -> int:
         payload = {"seed": args.seed, "params": params, "z": _ROWS_PLACEHOLDER,
                    "columns": dict.fromkeys(cols, _ROWS_PLACEHOLDER)}
         lists = {c: functools.partial(_json_column, v) for c, v in {"z": grid, **cols}.items()}
-        _write_report_json(path, manifest, payload, lists)
+        _write_json(path, manifest, payload, lists)
     print(f"wrote {path}")
     return 0
 

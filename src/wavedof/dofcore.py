@@ -258,8 +258,8 @@ class DofReport:
         The -n section takes the blocks outermost first.  The +n section
         reuses the innermost block's text, which total_dof's columns, even in
         n bit for bit, make the same for both signs, and formats each outer
-        block again rather than hold it across the file.  No string is
-        empty, and the writers hold the columns plus one block.
+        block again rather than hold it across the file.  No string is empty,
+        and cli's _write_csv and _write_json hold the columns plus one block.
         """
         fmt = row.replace("%d", "%%d")
         cols = [getattr(self, c) for c in columns if c != "n"]

@@ -14,10 +14,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import fft, ifft
 
 from . import __version__
 from .channel import (
@@ -437,10 +439,6 @@ def time_support_check(n: int, radius: float, cfg: ChannelConfig) -> TimeSupport
     t_unit = float(radius) / float(cfg.wave_speed)
     if not 0.0 < t_unit < math.inf:
         raise ValueError(f"radius / wave_speed must be a finite time > 0, got {radius} / {cfg.wave_speed}")
-    # imported here, not with the module: only this stage transforms, and
-    # the import would cost every command's start-up about 2 ms
-    from numpy.fft import fft, ifft
-
     kr = np.linspace(0.0, _TS_KR_MAX, _TS_FREQ_SAMPLES)
     window = 0.5 * (1.0 - np.cos(2.0 * math.pi * kr / _TS_KR_MAX))
     # trapezoid weights over kR times the tapered spectrum
@@ -601,10 +599,6 @@ def run_campaign(cfg: ChannelConfig, plan: TrialPlan) -> CampaignReport:
     check order, so the report, and the error of the first stage in that
     order to raise, do not depend on the number of workers.
     """
-    # imported here, not with the module: analyze, sweep and tables start no
-    # pool, and the executor's imports (logging, queue) cost them about 7 ms
-    from concurrent.futures import Future, ThreadPoolExecutor
-
     _check_powers(cfg)
     pool = ThreadPoolExecutor(max_workers=_usable_cpus())
     try:

@@ -5,9 +5,6 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -517,24 +514,6 @@ class TestParser:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_version_loads_no_stage_only_module(self):
-        # numpy.fft (time support) and concurrent.futures (the campaign's
-        # pool) are imported where they are used, so start-up pays for neither
-        code = (
-            "import sys\n"
-            "from wavedof import cli\n"
-            "try:\n"
-            "    cli.main(['--version'])\n"
-            "except SystemExit:\n"
-            "    pass\n"
-            "print(sorted(m for m in ('numpy.fft', 'concurrent.futures') if m in sys.modules))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-
 
 # Values every flag may get besides its valid ones: zero, negatives, the
 # non-finite floats, the top of the float range, an integer past it, and
@@ -762,5 +741,5 @@ def test_every_artifact_goes_through_one_writer_per_format():
         name = getattr(func, "id", getattr(func, "attr", None))
         if isinstance(node, ast.Call) and name in callers:
             callers[name].add(owner.get(id(node)))
-    assert callers == {"_artifact": {"_write_csv", "_write_json", "_write_report_json"}, "open": {"_artifact"}}
+    assert callers == {"_artifact": {"_write_csv", "_write_json"}, "open": {"_artifact"}}
     assert text.count("# generated:") == 1

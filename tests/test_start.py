@@ -1,4 +1,4 @@
-"""Starting wavedof: numpy loads only once a command computes, and the package's lazy exports."""
+"""Starting wavedof: numpy and the campaign's thread pool load only once a command computes, and the package's lazy exports."""
 
 import os
 import subprocess
@@ -26,13 +26,14 @@ import sys
 import wavedof
 
 
-def numpy_not_loaded(step):
-    assert "numpy" not in sys.modules, f"{step} loaded numpy"
+def loaded_neither(step):
+    for name in ("numpy", "concurrent.futures"):
+        assert name not in sys.modules, f"{step} loaded {name}"
 
 
-numpy_not_loaded("import wavedof")
+loaded_neither("import wavedof")
 wavedof.ChannelConfig(f0=1.5e9, half_bw=1.3e9, radius=0.1, obs_time=0.0)
-numpy_not_loaded("ChannelConfig")
+loaded_neither("ChannelConfig")
 from wavedof import cli
 
 for argv, code in (
@@ -48,7 +49,7 @@ for argv, code in (
     except SystemExit as exc:
         got = exc.code
     assert got == code, (argv, got)
-    numpy_not_loaded(argv)
+    loaded_neither(argv)
 assert cli.main(["analyze"]) == 0
 assert "numpy" in sys.modules
 # a module the commands so far did not load is an attribute all the same

@@ -18,7 +18,6 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import numpy.fft  # noqa: F401  time_support_check imports it on first use; no traced peak should count that
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
