@@ -59,6 +59,19 @@ SWEEP_AXES = ("radius", "half_bw", "gamma", "obs_time")
 # CSV, and peak at 82 MB resident in either format.
 _MAX_TABLE_CELLS = 2**22
 
+# Rows formatted at once when a budget or table is written as text; a
+# budget's block holds this many orders |n|.  One block's text for both
+# signs takes a few MB, so the writers need the columns plus one block
+# however large N_u is: the traced peak of analyze is 3.5 MB at R = 99 m
+# (one block) and 4.4 MB at R = 251 m (three).
+_ROW_BLOCK = 8192
+# Rows per string handed to a writer.  A writer copies what it gets (the
+# JSON spelling of inf, the encoding) while the innermost block's text is
+# held across the -n and +n sections, so whole-block strings put R = 99 m
+# at 4.9 MB.  1024 rows gave 3.2 MB there, but left the allocator with
+# about 1 MB more resident memory over a run of budget operations.
+_STITCH_ROWS = 4096
+
 
 def load_config_file(path: str) -> dict:
     """Flat key-value config: one ``key = value`` per line, # comments; integer keys as int."""
@@ -182,11 +195,64 @@ def _write_json(path: Path, manifest: dict, payload: dict, lists: dict | None = 
         f.write(text + "\n")
 
 
+def _split_rows(fmt: str, cols: list, lo: int, hi: int) -> list:
+    """``fmt`` %-formatted with the values of each column at rows lo..hi - 1, as hi - lo strings.
+
+    One format call for the rows, split at a NUL, which neither the
+    writers' row templates nor a formatted number holds.
+    """
+    values = itertools.chain.from_iterable(zip(*(c[lo:hi].tolist() for c in cols)))
+    return ((fmt + "\0") * (hi - lo) % tuple(values)).split("\0")[:-1]
+
+
+def _fill(texts: list, ns: range) -> Iterator[str]:
+    """Row texts with the orders in ``ns`` filled in for their ``%d``, _STITCH_ROWS rows to a string."""
+    for j in range(0, len(ns), _STITCH_ROWS):
+        yield "".join(texts[j:j + _STITCH_ROWS]) % tuple(ns[j:j + _STITCH_ROWS])
+
+
+def _budget_rows(report: DofReport, row: str, columns: tuple) -> Iterator[str]:
+    """``row`` %-formatted with the named columns once per order, in blocks of orders |n|.
+
+    ``row`` holds one ``%d``, the spec of the ``n`` column, and no other
+    escaped ``%``.  Each block's rows are formatted once with that ``%d``
+    left in, and the orders are filled in _STITCH_ROWS rows to a string.
+    The -n section takes the blocks outermost first.  The +n section
+    reuses the innermost block's text, which the report's columns, even in
+    n bit for bit, make the same for both signs, and formats each outer
+    block again rather than hold it across the file.  No string is empty,
+    and _write_csv and _write_json hold the columns plus one block.
+    """
+    fmt = row.replace("%d", "%%d")
+    cols = [getattr(report, c) for c in columns if c != "n"]
+    n_up = report.n_upper
+    edges = [(lo, min(lo + _ROW_BLOCK, n_up)) for lo in range(0, n_up, _ROW_BLOCK)]
+    for lo, hi in reversed(edges):
+        block = None  # drop the last block before formatting the next
+        block = _split_rows(fmt, cols, n_up - hi, n_up - lo)
+        yield from _fill(block, range(1 - hi, 1 - lo))
+    # less row 0, written already, the innermost block's texts reversed run
+    # n = -1, -2, ..., which the even columns make those of n = 1, 2, ...
+    block.pop()
+    block.reverse()
+    yield from _fill(block, range(1, edges[0][1]))
+    for lo, hi in edges[1:]:
+        block = None
+        block = _split_rows(fmt, cols, n_up - 1 + lo, n_up - 1 + hi)
+        yield from _fill(block, range(lo, hi))
+
+
+def _report_csv(report: DofReport) -> Iterator[str]:
+    """The budget's CSV table; column order n, f_crit_hz, w_eff_hz, dof."""
+    yield "n,f_crit_hz,w_eff_hz,dof\n"
+    yield from _budget_rows(report, "%d,%.9g,%.9g,%.9g\n", ("n", "f_crit", "w_eff", "dof"))
+
+
 def _report_rows(report: DofReport, ind: str) -> Iterator[str]:
     """The report's rows as items of a JSON list at indentation ``ind``, written block by block from the columns."""
     row = (f",\n{ind}  {{\n{ind}    \"dof\": %r,\n{ind}    \"f_crit\": %r,\n"
            f"{ind}    \"n\": %d,\n{ind}    \"w_eff\": %r\n{ind}  }}")
-    blocks = report.format_rows(row, ("dof", "f_crit", "n", "w_eff"))
+    blocks = _budget_rows(report, row, ("dof", "f_crit", "n", "w_eff"))
     if math.inf in report.f_crit:
         # only f_crit can be inf, which JSON spells Infinity; no key holds "inf"
         blocks = (b.replace("inf", "Infinity") for b in blocks)
@@ -208,7 +274,7 @@ def cmd_analyze(args, file_vals: dict) -> int:
     _write_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body},
                 {"per_order": functools.partial(_report_rows, report)})
     csv_path = out / "dof_report.csv"
-    _write_csv(csv_path, manifest, config, report.csv_blocks())
+    _write_csv(csv_path, manifest, config, _report_csv(report))
 
     print(
         f"n_upper={report.n_upper} t_eff={report.t_eff:.9g} s total_dof={report.total:.9g}"
@@ -263,11 +329,9 @@ def cmd_simulate(args, file_vals: dict) -> int:
 
 def _table_rows(fmt: str, cols: list) -> Iterator[str]:
     """``fmt`` %-formatted with one value of each column per row, _ROW_BLOCK rows at a time."""
-    from .dofcore import _ROW_BLOCK, _split_rows
-
-    for lo in range(0, cols[0].size, _ROW_BLOCK):
-        block = [c[lo:lo + _ROW_BLOCK] for c in cols]
-        yield from _split_rows(fmt, block, block[0].size)
+    n = cols[0].size
+    for lo in range(0, n, _ROW_BLOCK):
+        yield from _split_rows(fmt, cols, lo, min(lo + _ROW_BLOCK, n))
 
 
 def _json_column(col, ind: str) -> Iterator[str]:
@@ -333,42 +397,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wavedof {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    common.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    common.add_argument("--seed", type=int, help="random seed recorded in artifacts (default: config file, else 0)")
-    common.add_argument("--format", choices=("json", "csv"), default="csv",
-                        help="artifact format for sweep/tables")
+    artifact = argparse.ArgumentParser(add_help=False)
+    artifact.add_argument("--out", metavar="DIR", default=".", help="output directory")
+    artifact.add_argument("--seed", type=int, help="random seed recorded in artifacts (default: config file, else 0)")
+    artifact.add_argument("--format", choices=("json", "csv"), default="csv",
+                          help="artifact format for sweep/tables")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", metavar="PATH", help="flat key=value config file")
     for key in DEFAULT_CONFIG:
-        common.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
-                            dest=key, help=f"override {key}")
+        scenario.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
+                              dest=key, help=f"override {key}")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[artifact, scenario],
                        help="degree-of-freedom budget of one configuration")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", parents=[common], help="budget along one parameter axis")
+    p = sub.add_parser("sweep", parents=[artifact, scenario], help="budget along one parameter axis")
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", type=float, nargs="+", required=True,
                    help="strictly increasing axis values")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo verification campaign")
+    p = sub.add_parser("simulate", parents=[artifact, scenario], help="Monte Carlo verification campaign")
     p.add_argument("--num-trials", type=int, default=None, dest="num_trials")
     p.add_argument("--circle-samples", type=int, default=None, dest="circle_samples")
     p.add_argument("--n-probe", type=int, default=None, dest="n_probe")
     p.add_argument("--freq-samples", type=int, default=None, dest="freq_samples")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("tables", parents=[common], help="special-function curve data")
+    p = sub.add_parser("tables", parents=[artifact], help="special-function curve data")
     p.add_argument("--kind", choices=("bessel", "chebyshev"), required=True)
     p.add_argument("--orders", type=int, nargs="+", required=True)
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--z-max", type=float, default=20.0, dest="z_max",
                    help="top of the argument range for bessel tables")
-    p.set_defaults(func=cmd_tables)
+    # no --config: a table's inputs are its flags and their defaults
+    p.set_defaults(func=cmd_tables, config=None)
     return parser
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,19 +35,6 @@ _E_PI = math.e * math.pi
 
 # Bound on the truncation order N_u; a budget holds 2 N_u - 1 rows of columns.
 _MAX_N_UPPER = 10_000_000
-
-# Orders |n| formatted at once when a report is written as text.  One
-# block's text for both signs takes a few MB, so the writers need the
-# columns plus one block however large N_u is: the traced peak of analyze
-# is 3.5 MB at R = 99 m (one block) and 4.4 MB at R = 251 m (three).
-# ``tables`` formats its rows in blocks of the same size.
-_ROW_BLOCK = 8192
-# Rows per string handed to a writer.  A writer copies what it gets (the
-# JSON spelling of inf, the encoding) while the innermost block's text is
-# held across the -n and +n sections, so whole-block strings put R = 99 m
-# at 4.9 MB.  1024 rows gave 3.2 MB there, but left the allocator with
-# about 1 MB more resident memory over a run of budget operations.
-_STITCH_ROWS = 4096
 
 
 class SnrBound(NamedTuple):
@@ -215,25 +201,13 @@ def total_dof(cfg: ChannelConfig) -> "DofReport":
     return DofReport(config=cfg, t_eff=t_eff, n_upper=n_up, n=n, f_crit=f_crit, w_eff=w_eff, dof=dof, total=total)
 
 
-def _split_rows(fmt: str, cols: list, k: int) -> list:
-    """``fmt`` %-formatted with one value of each column per row, as k strings.
-
-    One format call for the block, split at a NUL, which neither the
-    writers' row templates nor a formatted number holds.
-    """
-    values = chain.from_iterable(zip(*(c.tolist() for c in cols)))
-    return ((fmt + "\0") * k % tuple(values)).split("\0")[:-1]
-
-
-def _fill(texts: list, ns: range) -> Iterator[str]:
-    """Row texts with the orders in ``ns`` filled in for their ``%d``, _STITCH_ROWS rows to a string."""
-    for j in range(0, len(ns), _STITCH_ROWS):
-        yield "".join(texts[j:j + _STITCH_ROWS]) % tuple(ns[j:j + _STITCH_ROWS])
-
-
 @dataclass(frozen=True, eq=False)
 class DofReport:
-    """Evaluated budget: one column per row field over orders -(N_u - 1)..N_u - 1, and their total."""
+    """Evaluated budget: one column per row field over orders -(N_u - 1)..N_u - 1, and their total.
+
+    Every column but ``n`` is even in n bit for bit, each row being computed
+    from |n|; the CLI spells the rows of n and -n from one text on this.
+    """
 
     config: ChannelConfig
     t_eff: float
@@ -248,43 +222,3 @@ class DofReport:
     def per_order(self) -> tuple:
         """The rows as OrderBudget tuples, built from the columns at each access."""
         return tuple(map(OrderBudget, self.n.tolist(), self.f_crit.tolist(), self.w_eff.tolist(), self.dof.tolist()))
-
-    def format_rows(self, row: str, columns: tuple) -> Iterator[str]:
-        """``row`` %-formatted with the named columns once per order, in blocks of orders |n|.
-
-        ``row`` holds one ``%d``, the spec of the ``n`` column, and no other
-        escaped ``%``.  Each block's rows are formatted once with that ``%d``
-        left in, and the orders are filled in _STITCH_ROWS rows to a string.
-        The -n section takes the blocks outermost first.  The +n section
-        reuses the innermost block's text, which total_dof's columns, even in
-        n bit for bit, make the same for both signs, and formats each outer
-        block again rather than hold it across the file.  No string is empty,
-        and cli's _write_csv and _write_json hold the columns plus one block.
-        """
-        fmt = row.replace("%d", "%%d")
-        cols = [getattr(self, c) for c in columns if c != "n"]
-        n_up = self.n_upper
-
-        def texts(lo: int, hi: int) -> list:
-            """The texts of the rows at column indices lo..hi - 1, each with its ``%d``."""
-            return _split_rows(fmt, [c[lo:hi] for c in cols], hi - lo)
-
-        edges = [(lo, min(lo + _ROW_BLOCK, n_up)) for lo in range(0, n_up, _ROW_BLOCK)]
-        for lo, hi in reversed(edges):
-            block = None  # drop the last block before formatting the next
-            block = texts(n_up - hi, n_up - lo)
-            yield from _fill(block, range(1 - hi, 1 - lo))
-        # less row 0, written already, the innermost block's texts reversed run
-        # n = -1, -2, ..., which the even columns make those of n = 1, 2, ...
-        block.pop()
-        block.reverse()
-        yield from _fill(block, range(1, edges[0][1]))
-        for lo, hi in edges[1:]:
-            block = None
-            block = texts(n_up - 1 + lo, n_up - 1 + hi)
-            yield from _fill(block, range(lo, hi))
-
-    def csv_blocks(self) -> Iterator[str]:
-        """Per-order table; column order n, f_crit_hz, w_eff_hz, dof."""
-        yield "n,f_crit_hz,w_eff_hz,dof\n"
-        yield from self.format_rows("%d,%.9g,%.9g,%.9g\n", ("n", "f_crit", "w_eff", "dof"))

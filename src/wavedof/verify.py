@@ -245,7 +245,10 @@ def noise_variance_check(plan: TrialPlan, cfg: ChannelConfig) -> list[CheckResul
     Per order: E|nu_n|^2 against 2 pi noise_var at 3 standard errors, and
     E nu_n against 0.  Cross-order products are screened jointly at a
     multiple-comparison-adjusted threshold, with the (1, 2) pair reported
-    as its own 3 sigma line.
+    as its own 3 sigma line.  The projection onto the orders,
+    ``eta @ kernel.T``, is a BLAS product, whose last bits may depend on
+    the BLAS thread count; over five plan sizes, the default among them,
+    they were the same at 1 and 2 OpenBLAS threads.
     """
     _check_powers(cfg)
     orders = symmetric_orders(plan.n_probe)

@@ -1,10 +1,14 @@
 """Command line interface: exit codes, artifacts, reproducibility."""
 
+import argparse
 import ast
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -318,6 +322,20 @@ class TestSimulate:
         main(["simulate", "--out", str(out), "--seed", "3"])
         assert (out / "verification.json").read_bytes() == first
 
+    def test_same_bytes_at_one_and_four_blas_threads(self, tmp_path):
+        # the noise stage's eta @ kernel.T is a BLAS product, whose bits a thread count could change
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        reports = []
+        for threads in ("1", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "wavedof.cli", "simulate", *SMALL_PLAN, "--seed", "5",
+                                   "--out", "out"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode in (0, 3), proc.stderr
+            reports.append((tmp_path / "out" / "verification.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_failed_check_exits_3(self, tmp_path, capsys):
         # narrow band around 2.4 GHz: marginal orders clear their critical
         # frequency but the loose bound leaves no in-band SNR margin
@@ -402,10 +420,10 @@ class TestTables:
         # second kind hits n+1 at the endpoints
         assert cols["u9"][-1] == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("block", [1, 2, 4, 5, dofcore._ROW_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 4, 5, cli._ROW_BLOCK])
     def test_rows_spelled_cell_by_cell_across_blocks(self, tmp_path, block):
         # the rows are formatted a block at a time, as each cell's f"{v:.9g}" joined by commas
-        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
+        with mock.patch.object(cli, "_ROW_BLOCK", block):
             main(["tables", "--kind", "chebyshev", "--orders", "3", "0", "--samples", "9", "--out", str(tmp_path)])
         grid = np.linspace(-1.0, 1.0, 9)
         cols = [grid, chebyshev_first_kind(3, grid), chebyshev_second_kind(3, grid), np.ones(9), np.ones(9)]
@@ -424,14 +442,14 @@ class TestTables:
         finally:
             tracemalloc.stop()
         # one block of text and the numbers it is formatted from: measured 146 B per row
-        assert peak < 3 * 8 * 60_000 + 200 * dofcore._ROW_BLOCK
+        assert peak < 3 * 8 * 60_000 + 200 * cli._ROW_BLOCK
 
-    @pytest.mark.parametrize("block", [1, 2, 5, dofcore._ROW_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 5, cli._ROW_BLOCK])
     @pytest.mark.parametrize("kind,orders", [("bessel", [10, 0, 2]), ("chebyshev", [3, 3, 0, 10])])
     def test_json_streamed_as_json_dumps_spells_it(self, tmp_path, kind, orders, block):
         # z and every column are written _ROW_BLOCK values at a time, in the bytes of one json.dumps
         argv = ["tables", "--kind", kind, "--orders", *map(str, orders), "--samples", "9", "--format", "json"]
-        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
+        with mock.patch.object(cli, "_ROW_BLOCK", block):
             assert main([*argv, "--out", str(tmp_path)]) == 0
         text = (tmp_path / f"tables_{kind}.json").read_text()
         body = json.loads(text)
@@ -458,7 +476,7 @@ class TestTables:
         finally:
             tracemalloc.stop()
         # one block of items and the numbers they are formatted from: measured 1.2 MB in all
-        assert peak < 3 * 8 * 10_000 + 200 * dofcore._ROW_BLOCK
+        assert peak < 3 * 8 * 10_000 + 200 * cli._ROW_BLOCK
 
     def test_json_format(self, tmp_path):
         main([
@@ -498,6 +516,20 @@ class TestTables:
         assert "z-max" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--config", *(f"--{k.replace('_', '-')}" for k in cli.DEFAULT_CONFIG)])
+    def test_scenario_flag_exits_2_creating_nothing(self, tmp_path, capsys, flag):
+        # a table reads none of these, so none is accepted and silently dropped
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("radius = 0.2\n")
+        value = str(cfg) if flag == "--config" else "1"
+        out = tmp_path / "new"
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--kind", "bessel", "--orders", "0", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1 and flag in err
+        assert not out.exists()
+
 
 class TestParser:
     def test_built_once(self):
@@ -507,6 +539,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {f for a in p._actions if a.dest != "help" for f in a.option_strings}
+                 for name, p in sub.choices.items()}
+        artifact = {"--out", "--seed", "--format"}
+        scenario = {"--config", *CONFIG_FLAGS} - {"--seed"}
+        assert flags == {
+            "analyze": artifact | scenario,
+            "sweep": artifact | scenario | {"--axis", "--values"},
+            "simulate": artifact | scenario | set(PLAN_FLAGS),
+            "tables": artifact | {"--kind", "--orders", "--samples", "--z-max"},
+        }
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -653,19 +698,19 @@ class TestReportWriters:
         n_upper=st.one_of(st.integers(1, 40), st.integers(1, 3000)),
         ratio=st.floats(1e-6, 1e6),
         obs_time=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
-        block=st.sampled_from([1, 2, 7, 8, 64, dofcore._ROW_BLOCK]),
+        block=st.sampled_from([1, 2, 7, 8, 64, cli._ROW_BLOCK]),
     )
     def test_matches_old_writers(self, tmp_path, n_upper, ratio, obs_time, block):
-        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
+        with mock.patch.object(cli, "_ROW_BLOCK", block):
             assert_writers_match_oracle(cfg_with_orders(n_upper, ratio, obs_time), tmp_path)
 
     @pytest.mark.parametrize(
         "block,n_upper",
         # rows = 2 N_u - 1 at the block size and one to either side of it
-        [(dofcore._ROW_BLOCK, 4096), (dofcore._ROW_BLOCK, 4097), (7, 4), (8, 4), (8, 5), (1, 1), (1, 2)],
+        [(cli._ROW_BLOCK, 4096), (cli._ROW_BLOCK, 4097), (7, 4), (8, 4), (8, 5), (1, 1), (1, 2)],
     )
     def test_rows_around_the_block_size(self, tmp_path, block, n_upper):
-        with mock.patch.object(dofcore, "_ROW_BLOCK", block):
+        with mock.patch.object(cli, "_ROW_BLOCK", block):
             assert_writers_match_oracle(cfg_with_orders(n_upper, obs_time=2e-9), tmp_path)
 
     @pytest.mark.parametrize(
@@ -687,29 +732,29 @@ class TestReportWriters:
         "block,stitch,n_upper",
         # N_u one below, at and one above a block of orders |n|, and past two
         # blocks; small blocks are stitched in chunks that do not divide them
-        [(b, s, n) for b, s in ((dofcore._ROW_BLOCK, dofcore._STITCH_ROWS), (1, 3), (2, 3), (7, 3))
+        [(b, s, n) for b, s in ((cli._ROW_BLOCK, cli._STITCH_ROWS), (1, 3), (2, 3), (7, 3))
          for n in (b - 1, b, b + 1, 2 * b + 1) if n >= 1],
     )
     def test_orders_around_the_block_size(self, tmp_path, block, stitch, n_upper):
         cfg = cfg_with_orders(n_upper, obs_time=2e-9)
-        with mock.patch.object(dofcore, "_ROW_BLOCK", block), mock.patch.object(dofcore, "_STITCH_ROWS", stitch):
+        with mock.patch.object(cli, "_ROW_BLOCK", block), mock.patch.object(cli, "_STITCH_ROWS", stitch):
             assert_writers_match_oracle(cfg, tmp_path)
             # the JSON writer opens the list with the first block's text
-            assert all(dofcore.total_dof(cfg).csv_blocks())
+            assert all(cli._report_csv(dofcore.total_dof(cfg)))
 
     def test_traced_peak_is_the_columns_plus_one_block(self, tmp_path, capsys):
         # R = 251 m gives 40,019 rows; the rows before the change held 1.35 kB each
         rows, peak = traced_analyze_peak(tmp_path, 251.0)
-        assert rows >= 40_000 > 4 * dofcore._ROW_BLOCK
+        assert rows >= 40_000 > 4 * cli._ROW_BLOCK
         # four 8-byte columns, plus one block of text and the numbers it is
         # formatted from (measured 575 B per row of the block)
-        assert peak < 4 * 8 * rows + 640 * dofcore._ROW_BLOCK
+        assert peak < 4 * 8 * rows + 640 * cli._ROW_BLOCK
 
     def test_traced_peak_of_a_single_block(self, tmp_path, capsys):
         # R = 99 m gives N_u = 7,895 < _ROW_BLOCK: one block of orders serves both signs
         rows, peak = traced_analyze_peak(tmp_path, 99.0)
         assert rows == 2 * 7_895 - 1
-        assert peak < 4 * 8 * rows + 640 * dofcore._ROW_BLOCK
+        assert peak < 4 * 8 * rows + 640 * cli._ROW_BLOCK
 
 
 def traced_analyze_peak(out, radius):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wavedof import cli
 from wavedof.channel import ChannelConfig
 from wavedof.dofcore import (
     OrderBudget,
@@ -290,7 +291,7 @@ class TestReportSerialization:
 
     def test_csv_layout(self):
         rep = total_dof(worked_cfg())
-        lines = "".join(rep.csv_blocks()).strip().split("\n")
+        lines = "".join(cli._report_csv(rep)).strip().split("\n")
         assert lines[0] == "n,f_crit_hz,w_eff_hz,dof"
         assert len(lines) == 1 + 17
         row0 = lines[1 + 8].split(",")   # order 0 row
@@ -298,7 +299,7 @@ class TestReportSerialization:
         assert float(row0[2]) == pytest.approx(1e9, rel=1e-8)
 
     def test_csv_deterministic(self):
-        csv = lambda: "".join(total_dof(worked_cfg()).csv_blocks())
+        csv = lambda: "".join(cli._report_csv(total_dof(worked_cfg())))
         assert csv() == csv()
 
 
@@ -453,7 +454,7 @@ class TestOrderSymmetry:
     @example(cfg=worked_cfg(radius=0.0))
     @example(cfg=worked_cfg(p_max=0.0))
     def test_columns_bitwise_even_in_n(self, cfg):
-        # the report writers format each order's text once for -n and +n
+        # DofReport's contract: cli._budget_rows formats each order's text once for -n and +n
         rep = total_dof(cfg)
         for col in (rep.f_crit, rep.w_eff, rep.dof):
             assert col.tobytes() == col[::-1].tobytes()

@@ -1,4 +1,5 @@
-"""Starting wavedof: numpy and the campaign's thread pool load only once a command computes, and the package's lazy exports."""
+"""Starting wavedof: numpy and the campaign's thread pool load only once a command computes, tables loads no
+budget code, and the package's lazy exports."""
 
 import os
 import subprocess
@@ -58,13 +59,36 @@ assert wavedof.verify is sys.modules["wavedof.verify"]
 """
 
 
-def test_numpy_loads_only_when_a_command_computes(tmp_path):
+# A table computes with specfun alone
+TABLES = """
+import sys
+
+from wavedof import cli
+
+assert cli.main(["tables", "--kind", "bessel", "--orders", "0", "2"]) == 0
+assert cli.main(["tables", "--kind", "chebyshev", "--orders", "3", "--format", "json"]) == 0
+assert "numpy" in sys.modules
+assert "wavedof.dofcore" not in sys.modules, "tables loaded dofcore"
+"""
+
+
+def run_fresh(code: str, cwd: Path) -> None:
+    """``code`` run in a fresh interpreter in ``cwd`` against the package in ``src/``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    # in tmp_path, where the last analyze writes its artifacts
-    proc = subprocess.run([sys.executable, "-c", START], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_loads_only_when_a_command_computes(tmp_path):
+    # in tmp_path, where the last analyze writes its artifacts
+    run_fresh(START, tmp_path)
     assert (tmp_path / "dof_report.json").exists()
+
+
+def test_tables_loads_no_dofcore(tmp_path):
+    run_fresh(TABLES, tmp_path)
+    assert (tmp_path / "tables_bessel.csv").exists() and (tmp_path / "tables_chebyshev.json").exists()
 
 
 def test_public_names_kept():
