@@ -72,10 +72,10 @@ assert "wavedof.dofcore" not in sys.modules, "tables loaded dofcore"
 """
 
 
-def run_fresh(code: str, cwd: Path) -> None:
-    """``code`` run in a fresh interpreter in ``cwd`` against the package in ``src/``."""
+def run_fresh(code: str, cwd: Path, **env: str) -> None:
+    """``code`` run in a fresh interpreter in ``cwd`` against the package in ``src/``, with ``env`` set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
