@@ -4,9 +4,10 @@ Four subcommands: ``analyze`` evaluates the degree-of-freedom budget of
 one configuration, ``sweep`` tabulates it along one parameter axis,
 ``simulate`` runs the Monte Carlo verification campaign, and ``tables``
 exports special-function curve data.  Artifacts embed the seed, the
-fully resolved configuration, and the tool version; JSON bodies carry no
-timestamp and CSV carries it only on a comment line, so re-runs with the
-same inputs are byte-identical up to that line.
+fully resolved configuration, and the tool version, each once; JSON
+bodies carry no timestamp and CSV carries it only on a comment line, and
+no artifact records where it was written, so re-runs with the same
+inputs are byte-identical up to that line, in any --out directory.
 
 Each command imports the modules it computes with once its inputs are
 checked, so ``--version``, ``--help`` and an input error load no numpy.
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
-from .config import ChannelConfig, _check_cells, _real_arg
+from .config import ChannelConfig, _check_cells, _int_arg, _real_arg
 
 if TYPE_CHECKING:
     from .dofcore import DofReport
@@ -129,15 +130,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(args, command: str) -> dict:
-    """What produced an artifact: command, inputs, seed, format."""
-    return {
-        "command": command,
-        "config_source": args.config if args.config else "flags+defaults",
-        "out_dir": str(args.out),
-        "seed": args.seed,
-        "format": args.format,
-    }
+def _manifest(args) -> dict:
+    """What produced a JSON artifact: the command and, if it takes --config, the file read or "flags+defaults"."""
+    manifest = {"command": args.subcommand}
+    if hasattr(args, "config"):
+        manifest["config_source"] = args.config or "flags+defaults"
+    return manifest
 
 
 @contextlib.contextmanager
@@ -158,29 +156,30 @@ def _artifact(path: Path):
             f.truncate()
 
 
-def _write_csv(path: Path, manifest: dict, resolved: dict, blocks) -> None:
+def _write_csv(path: Path, args, resolved: dict, blocks) -> None:
     """The five ``#`` comment lines (tool, command, seed, resolved inputs, time), then ``blocks`` as given."""
     resolved_line = " ".join(f"{k}={resolved[k]!r}" for k in sorted(resolved))
     with _artifact(path) as f:
-        f.write(f"# tool: wavedof {__version__}\n# command: {manifest['command']}\n# seed: {manifest['seed']}\n"
+        f.write(f"# tool: wavedof {__version__}\n# command: {args.subcommand}\n# seed: {args.seed}\n"
                 f"# config: {resolved_line}\n# generated: {datetime.now(timezone.utc).isoformat()}\n")
         f.writelines(blocks)
 
 
 # Stands for a list when the rest of a JSON artifact is dumped.  It is
 # matched together with its key, and a JSON string escapes every quote it
-# holds, so no user text (an --out path, say) can match it.
+# holds, so no user text (a --config path, say) can match it.
 _ROWS_PLACEHOLDER = "@rows"
 
 
-def _write_json(path: Path, manifest: dict, payload: dict, lists: dict | None = None) -> None:
-    """The JSON artifact of ``payload``, each of whose placeholders becomes a list streamed from ``lists``.
+def _write_json(path: Path, args, payload: dict, lists: dict | None = None) -> None:
+    """The JSON artifact of ``payload`` with the version, seed and manifest, each placeholder a list from ``lists``.
 
     ``lists`` maps each placeholder's key to a function of the indentation
     of the key's line that yields the list's items, each led by its comma,
     spelled as json.dumps(indent=2, sort_keys=True) spells them.
     """
-    text = json.dumps({"version": __version__, "manifest": manifest, **payload}, indent=2, sort_keys=True)
+    text = json.dumps({"version": __version__, "seed": args.seed, "manifest": _manifest(args), **payload},
+                      indent=2, sort_keys=True)
     marks = {key: f'"{key}": "{_ROWS_PLACEHOLDER}"' for key in lists or ()}
     with _artifact(path) as f:
         # in the order the dump put the keys
@@ -263,18 +262,16 @@ def cmd_analyze(args, file_vals: dict) -> int:
     cfg = _resolve_config(args, file_vals)
     from .dofcore import total_dof
 
-    manifest = _manifest(args, "analyze")
     report = total_dof(cfg)
     out = _out_dir(args)
 
     config = cfg.to_dict()
     json_path = out / "dof_report.json"
-    body = {"config": config, "t_eff": report.t_eff, "n_upper": report.n_upper,
-            "per_order": _ROWS_PLACEHOLDER, "total": report.total}
-    _write_json(json_path, manifest, {"seed": args.seed, "config": config, "report": body},
+    body = {"t_eff": report.t_eff, "n_upper": report.n_upper, "per_order": _ROWS_PLACEHOLDER, "total": report.total}
+    _write_json(json_path, args, {"config": config, "report": body},
                 {"per_order": functools.partial(_report_rows, report)})
     csv_path = out / "dof_report.csv"
-    _write_csv(csv_path, manifest, config, _report_csv(report))
+    _write_csv(csv_path, args, config, _report_csv(report))
 
     print(
         f"n_upper={report.n_upper} t_eff={report.t_eff:.9g} s total_dof={report.total:.9g}"
@@ -301,16 +298,15 @@ def cmd_sweep(args, file_vals: dict) -> int:
             raise ValueError(f"{args.axis}={v!r}: {exc}") from exc
         rows.append((v, rep.n_upper, rep.t_eff, rep.total))
 
-    manifest = _manifest(args, "sweep")
     out = _out_dir(args)
     if args.format == "csv":
         path = out / f"sweep_{args.axis}.csv"
         lines = [f"{v:.9g},{n_up:d},{t_eff:.9g},{total:.9g}\n" for v, n_up, t_eff, total in rows]
-        _write_csv(path, manifest, base, [f"{args.axis},n_upper,t_eff_s,total_dof\n", *lines])
+        _write_csv(path, args, base, [f"{args.axis},n_upper,t_eff_s,total_dof\n", *lines])
     else:
         path = out / f"sweep_{args.axis}.json"
         json_rows = [{"value": v, "n_upper": n, "t_eff": t, "total_dof": d} for v, n, t, d in rows]
-        _write_json(path, manifest, {"seed": args.seed, "config": base, "axis": args.axis, "rows": json_rows})
+        _write_json(path, args, {"config": base, "axis": args.axis, "rows": json_rows})
     print(f"wrote {len(rows)} sweep rows to {path}")
     return 0
 
@@ -321,7 +317,7 @@ def cmd_simulate(args, file_vals: dict) -> int:
 
     report = run_campaign(cfg, _resolve_plan(args, file_vals))
     path = _out_dir(args) / "verification.json"
-    _write_json(path, _manifest(args, "simulate"), report.to_dict())
+    _write_json(path, args, report.to_dict())
     print(report.summary_table())
     print(f"wrote {path}")
     return 0 if report.passed else 3
@@ -351,13 +347,11 @@ def cmd_tables(args, file_vals: dict) -> int:
         raise ValueError(f"samples must be >= 2, got {args.samples}")
     columns = max(orders) + 1 if args.kind == "bessel" else 2 * len(set(orders))
     _check_cells("samples * columns", args.samples, columns, _MAX_TABLE_CELLS)
-    if args.kind == "bessel":
-        _real_arg(args.z_max, "z-max", 0.0, open_lo=True)
+    _real_arg(args.z_max, "z-max", 0.0, open_lo=True)
     import numpy as np
 
     from .specfun import bessel_j_table, chebyshev_first_kind, chebyshev_second_kind
 
-    manifest = _manifest(args, "tables")
     out = _out_dir(args)
     n_top = max(orders)
     params: dict = {"kind": args.kind, "orders": list(orders), "samples": args.samples}
@@ -378,13 +372,12 @@ def cmd_tables(args, file_vals: dict) -> int:
         path = out / f"tables_{args.kind}.csv"
         fmt = ",".join(["%.9g"] * (len(cols) + 1)) + "\n"
         rows = _table_rows(fmt, [grid, *cols.values()])
-        _write_csv(path, manifest, params, itertools.chain(["z," + ",".join(cols) + "\n"], rows))
+        _write_csv(path, args, params, itertools.chain(["z," + ",".join(cols) + "\n"], rows))
     else:
         path = out / f"tables_{args.kind}.json"
-        payload = {"seed": args.seed, "params": params, "z": _ROWS_PLACEHOLDER,
-                   "columns": dict.fromkeys(cols, _ROWS_PLACEHOLDER)}
+        payload = {"params": params, "z": _ROWS_PLACEHOLDER, "columns": dict.fromkeys(cols, _ROWS_PLACEHOLDER)}
         lists = {c: functools.partial(_json_column, v) for c, v in {"z": grid, **cols}.items()}
-        _write_json(path, manifest, payload, lists)
+        _write_json(path, args, payload, lists)
     print(f"wrote {path}")
     return 0
 
@@ -400,8 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     artifact = argparse.ArgumentParser(add_help=False)
     artifact.add_argument("--out", metavar="DIR", default=".", help="output directory")
     artifact.add_argument("--seed", type=int, help="random seed recorded in artifacts (default: config file, else 0)")
-    artifact.add_argument("--format", choices=("json", "csv"), default="csv",
-                          help="artifact format for sweep/tables")
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--config", metavar="PATH", help="flat key=value config file")
     for key in DEFAULT_CONFIG:
@@ -418,6 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", type=float, nargs="+", required=True,
                    help="strictly increasing axis values")
+    p.add_argument("--format", choices=("json", "csv"), default="csv", help="write sweep_AXIS.csv or .json")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[artifact, scenario], help="Monte Carlo verification campaign")
@@ -433,17 +425,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--z-max", type=float, default=20.0, dest="z_max",
                    help="top of the argument range for bessel tables")
+    p.add_argument("--format", choices=("json", "csv"), default="csv", help="write tables_KIND.csv or .json")
     # no --config: a table's inputs are its flags and their defaults
-    p.set_defaults(func=cmd_tables, config=None)
+    p.set_defaults(func=cmd_tables)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        file_vals = load_config_file(args.config) if args.config else {}
+        file_vals = load_config_file(args.config) if getattr(args, "config", None) else {}
         if args.seed is None:
             args.seed = file_vals.get("seed", 0)
+        _int_arg(args.seed, "seed", lo=0)
         return args.func(args, file_vals)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

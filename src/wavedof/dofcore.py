@@ -198,7 +198,7 @@ def total_dof(cfg: ChannelConfig) -> "DofReport":
         raise ValueError(
             "budget overflows: W_n * T_eff + 1 and its sum over orders must be finite; reduce obs_time, radius or the band"
         )
-    return DofReport(config=cfg, t_eff=t_eff, n_upper=n_up, n=n, f_crit=f_crit, w_eff=w_eff, dof=dof, total=total)
+    return DofReport(t_eff=t_eff, n_upper=n_up, n=n, f_crit=f_crit, w_eff=w_eff, dof=dof, total=total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +209,6 @@ class DofReport:
     from |n|; the CLI spells the rows of n and -n from one text on this.
     """
 
-    config: ChannelConfig
     t_eff: float
     n_upper: int
     n: np.ndarray

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.fft import fft, ifft
 
-from . import __version__
 from .channel import (
     _circle_nodes,
     _complex_normal,
@@ -563,9 +562,8 @@ class CampaignReport:
         return all(c.verdict != "fail" for c in self.checks)
 
     def to_dict(self) -> dict:
+        """The config, plan, checks and verdict; the artifact writer adds the tool version and the seed."""
         return {
-            "version": __version__,
-            "seed": self.plan.seed,
             "config": self.config.to_dict(),
             "plan": self.plan.to_dict(),
             "checks": [c.to_dict() for c in self.checks],

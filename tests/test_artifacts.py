@@ -48,7 +48,7 @@ def assert_report_matches(got: dict, want: dict):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_artifact_digest(case, tmp_path, monkeypatch):
-    # under tmp_path, --out out gives the manifest the same out_dir on every machine
+    # stdout names the artifact paths, so every machine runs the case with --out out, under tmp_path
     monkeypatch.chdir(tmp_path)
     digest = case_digest(CASES[case])
     if case in SIMULATE_CASES and not SAME_PLATFORM:

@@ -174,7 +174,7 @@ class TestConfigFile:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert code in (0, 3)
         body = json.loads((tmp_path / "verification.json").read_text())
-        assert body["seed"] == 9 and body["manifest"]["seed"] == 9
+        assert body["seed"] == 9
         assert body["plan"]["seed"] == 9 and body["plan"]["num_trials"] == 100
 
     def test_seed_flag_overrides_file(self, tmp_path):
@@ -213,6 +213,13 @@ class TestRejectedInputs:
             (["tables", "--kind", "bessel", "--orders", "10000", "--samples", "420"], None, "420 * 10001"),
             (["tables", "--kind", "chebyshev", "--orders", "1", "2", "2", "--samples", "1048577"], None, "* 4 ="),
             (["simulate", "--seed", "-1", "--num-trials", "150"], None, "seed must be >= 0, got -1"),
+            # the commands that only record a seed took a negative one
+            (["analyze", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+            (["sweep", "--axis", "radius", "--values", "0.1", "--seed", "-5"], None, "seed must be >= 0, got -5"),
+            (["tables", "--kind", "bessel", "--orders", "0", "--seed", "-2"], None, "seed must be >= 0, got -2"),
+            (["analyze"], "seed = -3\n", "seed must be >= 0, got -3"),
+            # z-max was checked for bessel tables only
+            (["tables", "--kind", "chebyshev", "--orders", "2", "--z-max", "nan"], None, "z-max"),
             # a campaign squares its powers; these ended in a traceback or NaN estimates
             (["simulate", *SMALL_PLAN, "--noise-var", "1e-300"], None, "noise_var must be 0 or within [1e-100, 1e+100]"),
             (["simulate", *SMALL_PLAN, "--noise-var", "1e-150"], None, "got 1e-150"),
@@ -538,20 +545,68 @@ class TestParser:
         sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         flags = {name: {f for a in p._actions if a.dest != "help" for f in a.option_strings}
                  for name, p in sub.choices.items()}
-        artifact = {"--out", "--seed", "--format"}
+        artifact = {"--out", "--seed"}
         scenario = {"--config", *CONFIG_FLAGS} - {"--seed"}
         assert flags == {
             "analyze": artifact | scenario,
-            "sweep": artifact | scenario | {"--axis", "--values"},
+            "sweep": artifact | scenario | {"--axis", "--values", "--format"},
             "simulate": artifact | scenario | set(PLAN_FLAGS),
-            "tables": artifact | {"--kind", "--orders", "--samples", "--z-max"},
+            "tables": artifact | {"--kind", "--orders", "--samples", "--z-max", "--format"},
         }
+
+    @pytest.mark.parametrize("argv", [["analyze", "--format", "json"], ["simulate", "--format", "csv"]])
+    def test_format_exits_2_where_a_command_writes_fixed_formats(self, tmp_path, capsys, argv):
+        # analyze writes both formats and simulate JSON, so neither takes a --format it would not read
+        out = tmp_path / "new"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1 and "--format" in err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+# Each command's argv for a small JSON artifact, and the artifact's name
+JSON_ARTIFACTS = {
+    "analyze": (["analyze"], "dof_report.json"),
+    "sweep": (["sweep", "--axis", "radius", "--values", "0.1", "0.2", "--format", "json"], "sweep_radius.json"),
+    "simulate": (["simulate", *SMALL_PLAN], "verification.json"),
+    "tables": (["tables", "--kind", "bessel", "--orders", "0", "2", "--samples", "9", "--format", "json"],
+               "tables_bessel.json"),
+}
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("command", list(JSON_ARTIFACTS))
+    def test_json_body_is_the_same_in_any_out_dir(self, tmp_path, command):
+        argv, name = JSON_ARTIFACTS[command]
+        bodies = []
+        for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+            # 3 is a failed campaign check, which still writes the report
+            assert main([*argv, "--out", str(out)]) in (0, 3)
+            bodies.append((out / name).read_bytes())
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("command", list(JSON_ARTIFACTS))
+    def test_manifest_names_the_command_and_config_source(self, tmp_path, capsys, command):
+        # tables takes no --config, so its manifest names no config source
+        argv, name = JSON_ARTIFACTS[command]
+        assert main([*argv, "--out", str(tmp_path)]) in (0, 3)
+        manifest = json.loads((tmp_path / name).read_text())["manifest"]
+        want = {"command": command} if command == "tables" else {"command": command, "config_source": "flags+defaults"}
+        assert manifest == want
+        if command != "tables":
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text("seed = 2\n")
+            assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 3)
+            body = json.loads((tmp_path / name).read_text())
+            assert body["manifest"] == {**want, "config_source": str(cfg)} and body["seed"] == 2
 
 
 # Values every flag may get besides its valid ones: zero, negatives, the
@@ -636,7 +691,6 @@ class TestArgvProperty:
 
 def old_report_dict(rep):
     return {
-        "config": rep.config.to_dict(),
         "t_eff": rep.t_eff,
         "n_upper": rep.n_upper,
         "per_order": [r._asdict() for r in rep.per_order],
@@ -651,11 +705,10 @@ def old_report_csv(rep):
     return "\n".join(lines) + "\n"
 
 
-def old_analyze_artifacts(cfg, out):
+def old_analyze_artifacts(cfg, config_source):
     """dof_report.json and dof_report.csv, less its # generated line, as analyze wrote them."""
     rep = dofcore.total_dof(cfg)
-    manifest = {"command": "analyze", "config_source": "flags+defaults", "out_dir": str(out),
-                "seed": 0, "format": "csv"}
+    manifest = {"command": "analyze", "config_source": config_source}
     body = {"version": __version__, "manifest": manifest, "seed": 0, "config": cfg.to_dict(),
             "report": old_report_dict(rep)}
     resolved = " ".join(f"{k}={v!r}" for k, v in sorted(cfg.to_dict().items()))
@@ -663,10 +716,12 @@ def old_analyze_artifacts(cfg, out):
     return json.dumps(body, indent=2, sort_keys=True) + "\n", "\n".join(comments) + "\n" + old_report_csv(rep)
 
 
-def assert_writers_match_oracle(cfg, out):
+def assert_writers_match_oracle(cfg, out, config=None):
     flags = [arg for k, v in cfg.to_dict().items() for arg in (f"--{k.replace('_', '-')}", repr(v))]
+    if config is not None:
+        flags += ["--config", str(config)]
     assert main(["analyze", *flags, "--out", str(out)]) == 0
-    want_json, want_csv = old_analyze_artifacts(cfg, out)
+    want_json, want_csv = old_analyze_artifacts(cfg, "flags+defaults" if config is None else str(config))
     assert (out / "dof_report.json").read_text() == want_json
     csv_lines = (out / "dof_report.csv").read_text().split("\n")
     assert csv_lines[4].startswith("# generated: ")
@@ -720,9 +775,13 @@ class TestReportWriters:
         assert_writers_match_oracle(cfg, tmp_path)
 
     def test_placeholder_in_out_path(self, tmp_path):
+        # the --config path is the one user text the body holds; here it holds the placeholder's key and value
         out = tmp_path / f'"per_order": "{cli._ROWS_PLACEHOLDER}" inf'
-        assert_writers_match_oracle(ChannelConfig(**{**cli.DEFAULT_CONFIG, "radius": 0.0}), out)
-        assert_writers_match_oracle(ChannelConfig(**cli.DEFAULT_CONFIG), out)
+        out.mkdir()
+        config = out / "cfg.txt"
+        config.write_text("# every key is set by flag\n")
+        assert_writers_match_oracle(ChannelConfig(**{**cli.DEFAULT_CONFIG, "radius": 0.0}), out, config)
+        assert_writers_match_oracle(ChannelConfig(**cli.DEFAULT_CONFIG), out, config)
 
     @pytest.mark.parametrize(
         "block,stitch,n_upper",
